@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import ZnSet, canonical_less
+from .core import ZnSet, mask_less
 
 
 @dataclass(frozen=True)
@@ -48,17 +48,22 @@ def units(n: int) -> tuple[int, ...]:
     return tuple(u for u in range(1, n + 1) if math.gcd(u, n) == 1) if n > 1 else (0,)
 
 
-def _zero_based_images(a: ZnSet):
-    """All affine images of A that contain 0 (one per (unit, member) pair)."""
+def zero_based_images(a: ZnSet):
+    """Masks of all affine images of A that contain 0 (one per (unit, member) pair).
+
+    Per unit the scaled set is built once; each member is then moved to 0 by
+    a rotation of that mask.
+    """
     n = a.modulus
+    full = (1 << n) - 1
     members = a.members
     for u in units(n):
-        scaled = [(u * m) % n for m in members]
-        for anchor in scaled:
-            mask = 0
-            for s in scaled:
-                mask |= 1 << ((s - anchor) % n)
-            yield ZnSet(n, mask)
+        scaled = 0
+        for m in members:
+            scaled |= 1 << (u * m % n)
+        for m in members:
+            anchor = u * m % n
+            yield (scaled >> anchor | scaled << (n - anchor)) & full
 
 
 def canonical_form(a: ZnSet) -> ZnSet:
@@ -70,11 +75,11 @@ def canonical_form(a: ZnSet) -> ZnSet:
     """
     if not a:
         raise ValueError("canonical form of an empty set")
-    best: ZnSet | None = None
-    for image in _zero_based_images(a):
-        if best is None or canonical_less(image, best):
+    best = None
+    for image in zero_based_images(a):
+        if best is None or mask_less(image, best):
             best = image
-    return best  # type: ignore[return-value]
+    return ZnSet(a.modulus, best)
 
 
 def is_canonical(a: ZnSet) -> bool:
@@ -83,10 +88,8 @@ def is_canonical(a: ZnSet) -> bool:
         raise ValueError("canonicality of an empty set")
     if 0 not in a:
         return False
-    for image in _zero_based_images(a):
-        if canonical_less(image, a):
-            return False
-    return True
+    mask = a.mask
+    return not any(mask_less(image, mask) for image in zero_based_images(a))
 
 
 def orbit(a: ZnSet) -> frozenset[ZnSet]:

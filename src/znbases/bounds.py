@@ -204,7 +204,8 @@ def sandwich_bounds(n: int, a: int, b: int) -> SandwichBounds:
     lower = max(n // a - 1, a - 1)
     upper = (n // a - 1) + (a - 1)
     actual = order(ZnSet.from_members(n, {0, a, b}))
-    assert actual is not None  # gcd(a, b) = 1 forces a basis
+    if actual is None:  # gcd(a, b) = 1 forces a basis
+        raise RuntimeError(f"{{0,{a},{b}}} has infinite order in Z_{n}")
     return SandwichBounds(
         n=n, a=a, b=b, lower=lower, upper=upper, actual=actual,
         holds=lower <= actual <= upper,
@@ -280,7 +281,8 @@ def witness_order_bound(witness: PigeonholeWitness) -> WitnessOrderBound:
     """Evaluate order({0,1,t}) <= s + c*n/s with exact rational comparison."""
     n, t = witness.n, witness.t
     actual = order(ZnSet.from_members(n, {0, 1 % n, t}))
-    assert actual is not None  # {0, 1, t} always generates
+    if actual is None:  # {0, 1, t} always generates
+        raise RuntimeError(f"{{0,1,{t}}} has infinite order in Z_{n}")
     if witness.s == 0:
         return WitnessOrderBound(witness=witness, bound=None, actual=actual, holds=True)
     bound = witness.s + Fraction(witness.c * n, witness.s)
@@ -403,7 +405,8 @@ def lower_bound_family(k: int, n_range: tuple[int, int]) -> list[FamilyRecord]:
         if n % k != k - 1:
             continue
         rho = order(ZnSet.from_members(n, {0, 1, k}))
-        assert rho is not None
+        if rho is None:  # {0, 1, k} always generates
+            raise RuntimeError(f"{{0,1,{k}}} has infinite order in Z_{n}")
         nearest_l, min_gap = min_gap_to_fractions(rho, n, k)
         records.append(
             FamilyRecord(

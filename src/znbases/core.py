@@ -145,6 +145,13 @@ class ZnSet:
         return f"ZnSet({self.modulus}, {{{self.to_text()}}})"
 
 
+def mask_less(x: int, y: int) -> bool:
+    """The canonical order on membership masks of one modulus: the mask
+    holding the lowest residue on which the two differ is the smaller one."""
+    diff = x ^ y
+    return bool(x & diff & -diff)
+
+
 def canonical_less(a: ZnSet, b: ZnSet) -> bool:
     """Fixed total order on same-modulus sets: lexicographic on the
     characteristic vector read from residue 0 upward (membership wins).
@@ -153,15 +160,15 @@ def canonical_less(a: ZnSet, b: ZnSet) -> bool:
     smaller one.
     """
     a._check_modulus(b)
-    diff = a.mask ^ b.mask
-    if not diff:
-        return False
-    return bool(a.mask & (diff & -diff))
+    return mask_less(a.mask, b.mask)
 
 
-def canonical_sort_key(a: ZnSet):
-    """Sort key consistent with canonical_less (bit i inverted, residue 0 first)."""
-    return tuple(1 - (a.mask >> i & 1) for i in range(a.modulus))
+def canonical_sort_key(a: ZnSet) -> int:
+    """Integer sort key consistent with canonical_less among sets of one
+    modulus n: bit i of the complemented mask placed at position n-1-i, so
+    residue 0 is the most significant bit and membership sorts first."""
+    n = a.modulus
+    return int(format(a.mask ^ ((1 << n) - 1), f"0{n}b")[::-1], 2)
 
 
 @dataclass(frozen=True)

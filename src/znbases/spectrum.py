@@ -14,9 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .affine import canonical_form, is_canonical
+from .affine import canonical_form, is_canonical, zero_based_images
 from .bounds import kl_bound, min_gap_to_fractions
-from .core import ZnSet, canonical_sort_key, divisors, format_fraction, is_basis
+from .core import (
+    ZnSet, canonical_sort_key, divisors, format_fraction, is_basis, mask_less,
+)
 from .sumsets import order
 
 DEFAULT_EXHAUSTIVE_LIMIT = 20
@@ -157,11 +159,9 @@ def _shard_key(mask: int, n: int) -> int:
     return a2 * n + a3
 
 
-def _candidate_masks(n: int, max_card: int | None) -> Iterator[int]:
-    """Membership masks of all candidate subsets containing 0, deterministic order."""
-    if max_card is None:
-        yield from range(1, 1 << n, 2)
-        return
+def _capped_candidate_masks(n: int, max_card: int) -> Iterator[int]:
+    """Membership masks of the candidate subsets containing 0 with at most
+    max_card members: {0}, then by size, each size in combination order."""
     yield 1  # the singleton {0}
     for size in range(1, max_card):
         for combo in itertools.combinations(range(1, n), size):
@@ -169,6 +169,46 @@ def _candidate_masks(n: int, max_card: int | None) -> Iterator[int]:
             for m in combo:
                 mask |= 1 << m
             yield mask
+
+
+# States of a 0-containing mask in the exhaustive walk, one byte per mask;
+# a fresh byte is 0, unseen.
+_NOT_CANONICAL, _PENDING = 1, 2
+
+
+def _exhaustive_bases(n: int, shard: int, shards: int) -> Iterator[ZnSet]:
+    """Orderly generation of the canonical basis representatives of one shard.
+
+    Walks the masks containing 0 in ascending order.  The first mask of a
+    basis orbit met in the walk generates the orbit's 0-containing images
+    once: all are marked not canonical, and their canonical minimum is
+    yielded at once if it is this mask, else marked pending and yielded when
+    the walk reaches it.  The yield order is therefore ascending mask order,
+    exactly as a canonicality test of every candidate would give.  Being a
+    basis is an orbit invariant, so a non-basis mask is skipped unmarked.
+    """
+    state = bytearray(1 << (n - 1))  # indexed by mask >> 1
+    for mask in range(1, 1 << n, 2):
+        if shards > 1 and _shard_key(mask, n) % shards != shard:
+            continue
+        seen = state[mask >> 1]
+        if seen == _PENDING:
+            yield ZnSet(n, mask)
+            continue
+        if seen == _NOT_CANONICAL:
+            continue
+        a = ZnSet(n, mask)
+        if not is_basis(a):
+            continue
+        best = mask
+        for image in zero_based_images(a):
+            state[image >> 1] = _NOT_CANONICAL
+            if mask_less(image, best):
+                best = image
+        if best == mask:
+            yield a
+        else:
+            state[best >> 1] = _PENDING
 
 
 def enumerate_bases(
@@ -179,10 +219,15 @@ def enumerate_bases(
     shards: int = 1,
 ) -> Iterator[ZnSet]:
     """Yield exactly one representative (the canonical form) per affine orbit
-    of bases of Z_n, in deterministic order.
+    of bases of Z_n whose shard key falls in this shard.
 
-    Exhaustive mode (max_card None) requires n <= limit; pass max_card to
-    enumerate only orbits of cardinality <= max_card.
+    Exhaustive mode (max_card None) requires n <= limit.  It walks all
+    2^(n-1) masks containing 0 with one byte of state per mask and generates
+    each basis orbit once (see _exhaustive_bases); representatives come in
+    ascending mask order.  Pass max_card to enumerate only orbits of
+    cardinality <= max_card; that mode tests each candidate with
+    is_canonical instead, since a state array of 2^(n-1) bytes cannot be
+    held at the moduli it serves.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -196,12 +241,20 @@ def enumerate_bases(
         raise ValueError(f"max_card must be in [1, {n}], got {max_card}")
     if not 0 <= shard < shards:
         raise ValueError(f"shard must be in [0, {shards}), got {shard}")
-    for mask in _candidate_masks(n, max_card):
+    if max_card is None:
+        yield from _exhaustive_bases(n, shard, shards)
+        return
+    for mask in _capped_candidate_masks(n, max_card):
         if _shard_key(mask, n) % shards != shard:
             continue
         a = ZnSet(n, mask)
         if is_canonical(a) and is_basis(a):
             yield a
+
+
+def _check_shards(shards: int) -> None:
+    if shards < 1:
+        raise ValueError(f"shards must be >= 1, got {shards}")
 
 
 def _merge_order_witnesses(
@@ -214,6 +267,14 @@ def _merge_order_witnesses(
             if cur is None or canonical_sort_key(witness) < canonical_sort_key(cur):
                 merged[rho] = witness
     return merged
+
+
+def _basis_order(a: ZnSet) -> int:
+    """The order of an enumerated basis, which is finite by construction."""
+    rho = order(a)
+    if rho is None:
+        raise RuntimeError(f"enumerated basis {a!r} has infinite order")
+    return rho
 
 
 def _gap_runs(achieved: set[int], n: int) -> tuple[tuple[int, int], ...]:
@@ -238,12 +299,12 @@ def spectrum(
     shards: int = 1,
 ) -> SpectrumReport:
     """Achieved-order spectrum of Z_n with gap runs and per-order witnesses."""
+    _check_shards(shards)
     partials = []
     for shard in range(shards):
         part: dict[int, ZnSet] = {}
         for rep in enumerate_bases(n, max_card, limit, shard=shard, shards=shards):
-            rho = order(rep)
-            assert rho is not None
+            rho = _basis_order(rep)
             cur = part.get(rho)
             if cur is None or canonical_sort_key(rep) < canonical_sort_key(cur):
                 part[rho] = rep
@@ -349,6 +410,7 @@ def verify_conjecture(
         raise ValueError(f"n must be positive, got {n}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    _check_shards(shards)
 
     mode = "exhaustive" if max_card is None else "card_capped"
     kl_cap: int | None = None
@@ -367,8 +429,7 @@ def verify_conjecture(
     elif max_card is None:
         for shard in range(shards):
             for rep in enumerate_bases(n, None, limit, shard=shard, shards=shards):
-                rho = order(rep)
-                assert rho is not None
+                rho = _basis_order(rep)
                 if rho * k > n:
                     found[rep.mask] = rho
     else:

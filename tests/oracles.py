@@ -6,6 +6,8 @@ no bit masks, no 0-translation, no stabilization detection, no doubling.
 
 from __future__ import annotations
 
+import math
+
 def naive_order(n: int, members) -> int | None:
     """Least h with hA = Z_n by recomputing each level from the definition.
 
@@ -90,3 +92,51 @@ def sandwich_lower_bound(n: int, a: int) -> int:
     while sum(h - j + 1 for j in range(a - 1, h + 1, a)) < n // a:
         h += 1
     return h
+
+
+def burnside_basis_orbits(n: int) -> int:
+    """Number of orbits of bases of Z_n under the maps x -> u*x + v with
+    gcd(u, n) = 1, by Burnside's lemma.
+
+    The count is the mean, over the n*phi(n) maps, of the number of bases
+    each map fixes.  A set is fixed by a map exactly when it is a union of
+    the map's cycles; the unions are enumerated cycle by cycle, and a union
+    is a basis when the gcd of n and its differences from one member is 1.
+    """
+    maps = [(u, v) for u in range(1, n + 1) if math.gcd(u, n) == 1 for v in range(n)]
+    fixed = sum(_fixed_bases(n, _cycles(n, u, v)) for u, v in maps)
+    orbits, rest = divmod(fixed, len(maps))
+    assert rest == 0, "Burnside's lemma gives a whole number"
+    return orbits
+
+
+def _cycles(n: int, u: int, v: int) -> list[list[int]]:
+    """The cycles of x -> u*x + v on range(n)."""
+    seen: set[int] = set()
+    cycles = []
+    for x in range(n):
+        cycle = []
+        while x not in seen:
+            seen.add(x)
+            cycle.append(x)
+            x = (u * x + v) % n
+        if cycle:
+            cycles.append(cycle)
+    return cycles
+
+
+def _fixed_bases(n: int, cycles: list[list[int]]) -> int:
+    """How many unions of the given cycles are bases of Z_n."""
+
+    def count(i: int, anchor: int | None, g: int) -> int:
+        if anchor is not None and g == 1:
+            return 2 ** (len(cycles) - i)  # every extension is a basis too
+        if i == len(cycles):
+            return 0
+        a = cycles[i][0] if anchor is None else anchor
+        h = g
+        for x in cycles[i]:
+            h = math.gcd(h, x - a)
+        return count(i + 1, anchor, g) + count(i + 1, a, h)
+
+    return count(0, None, n)

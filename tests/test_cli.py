@@ -37,6 +37,17 @@ def test_usage_errors_exit_2():
     assert run("conjecture", "--k", "2").exit_code == 2  # neither --n nor --n-range
 
 
+def test_shard_count_below_one_exits_2():
+    for shards in ("0", "-1"):
+        res = run("spectrum", "--n", "7", "--shards", shards)
+        assert res.exit_code == 2
+        assert "shards must be >= 1" in res.output
+        res = run("conjecture", "--k", "3", "--n", "60", "--max-card", "6",
+                  "--shards", shards)
+        assert res.exit_code == 2
+        assert "shards must be >= 1" in res.output
+
+
 def test_spectrum_csv_matches_spec_example():
     res = run("spectrum", "--n", "7", "--exhaustive", "--format", "csv")
     assert res.exit_code == 0

@@ -1,4 +1,7 @@
+import ast
 from fractions import Fraction
+from functools import cmp_to_key
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +11,7 @@ from znbases.core import (
     IntSet,
     ZnSet,
     canonical_less,
+    canonical_sort_key,
     format_fraction,
     format_order,
     parse_fraction,
@@ -117,3 +121,26 @@ def test_order_and_fraction_tokens_round_trip():
 @given(st.fractions(max_denominator=10**6))
 def test_fraction_format_round_trip(f):
     assert parse_fraction(format_fraction(f)) == f
+
+
+def test_canonical_sort_key_agrees_with_canonical_less():
+    def cmp(a, b):
+        return -1 if canonical_less(a, b) else (1 if canonical_less(b, a) else 0)
+
+    for n in range(1, 9):
+        sets = [ZnSet(n, mask) for mask in range(1 << n)]
+        keys = [canonical_sort_key(a) for a in sets]
+        assert all(isinstance(k, int) for k in keys)
+        assert len(set(keys)) == len(sets)
+        assert sorted(sets, key=canonical_sort_key) == sorted(sets, key=cmp_to_key(cmp))
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert, so library invariants must raise explicitly.
+    src = Path(__file__).resolve().parent.parent / "src" / "znbases"
+    files = sorted(src.glob("*.py"))
+    assert files
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert found == [], f"{path.name}: assert at lines {found}"

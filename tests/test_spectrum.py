@@ -7,7 +7,7 @@ from znbases.bounds import kl_bound
 from znbases.core import ZnSet, is_basis
 from znbases.spectrum import ConjectureReport, SpectrumReport
 
-from oracles import all_subsets, naive_order, naive_spectrum
+from oracles import all_subsets, burnside_basis_orbits, naive_order, naive_spectrum
 
 
 def test_enumerate_bases_covers_all_basis_orbits():
@@ -22,6 +22,41 @@ def test_enumerate_bases_covers_all_basis_orbits():
         got = [rep.mask for rep in enumerate_bases(n)]
         assert len(got) == len(set(got))  # no duplicates
         assert set(got) == expected
+
+
+def test_enumerate_bases_orbit_count_matches_burnside():
+    for n in range(1, 17):
+        assert len(list(enumerate_bases(n))) == burnside_basis_orbits(n), n
+
+
+def test_exhaustive_enumeration_yields_the_canonicality_scan():
+    # The orbit walk must yield exactly what testing every 0-containing
+    # candidate for canonicality and basis-hood yields, in the same order.
+    from znbases.affine import is_canonical
+    from znbases.spectrum import _shard_key
+
+    for n in range(1, 14):
+        for shards in (1, 2, 3):
+            for shard in range(shards):
+                scan = []
+                for mask in range(1, 1 << n, 2):
+                    if _shard_key(mask, n) % shards != shard:
+                        continue
+                    a = ZnSet(n, mask)
+                    if is_canonical(a) and is_basis(a):
+                        scan.append(a)
+                got = list(enumerate_bases(n, shard=shard, shards=shards))
+                assert got == scan, (n, shard, shards)
+
+
+def test_shard_count_below_one_is_refused():
+    for shards in (0, -1):
+        with pytest.raises(ValueError, match="shards"):
+            spectrum(7, shards=shards)
+        with pytest.raises(ValueError, match="shards"):
+            verify_conjecture(60, 3, max_card=6, shards=shards)
+        with pytest.raises(ValueError, match="shards"):
+            verify_conjecture(7, 1, shards=shards)
 
 
 def test_enumerate_bases_spec_examples():
