@@ -1,0 +1,27 @@
+"""Golden CLI gate: every run in golden.json must reproduce its exit code and
+stdout byte for byte.
+
+golden.json holds the argv, exit code and stdout of 186 runs captured before
+the report codec and the CLI renderer were rewritten: ``--version``, every
+``--help``, all 11 commands in table, json and csv, shard counts 1, 2, 3
+and 5, and a few usage errors (exit 2, empty stdout).  A legitimate output
+change must be made in golden.json in the same change, run by run.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from znbases.cli import main
+
+GOLDEN = json.loads((Path(__file__).parent / "golden.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("run", GOLDEN, ids=[" ".join(g["argv"]) for g in GOLDEN])
+def test_cli_output_matches_golden(run):
+    res = CliRunner().invoke(main, run["argv"], prog_name="znbases", terminal_width=80,
+                             catch_exceptions=False)
+    assert res.exit_code == run["exit_code"]
+    assert res.stdout == run["stdout"]
