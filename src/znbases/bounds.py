@@ -11,37 +11,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .core import IntSet, ZnSet, divisors, format_fraction, nlr
+from .core import IntSet, Record, ZnSet, divisors, nlr
 from .sumsets import order
 
 
+class KlTerm(NamedTuple):
+    d: int
+    value: int
+
+
 @dataclass(frozen=True)
-class KlBoundBreakdown:
+class KlBoundBreakdown(Record):
     """Per-divisor evaluation of the cardinality bound max over d | n, d >= rho+1
     of (n/d) * (floor((d-2)/(rho-1)) + 1)."""
 
     n: int
     rho: int
-    terms: tuple[tuple[int, int], ...]
+    terms: tuple[KlTerm, ...]
     bound: int
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "rho": self.rho,
-            "terms": [{"d": d, "value": v} for d, v in self.terms],
-            "bound": self.bound,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> KlBoundBreakdown:
-        return cls(
-            n=d["n"],
-            rho=d["rho"],
-            terms=tuple((t["d"], t["value"]) for t in d["terms"]),
-            bound=d["bound"],
-        )
 
 
 def kl_bound(n: int, rho: int) -> KlBoundBreakdown:
@@ -55,7 +44,7 @@ def kl_bound(n: int, rho: int) -> KlBoundBreakdown:
     if not 2 <= rho <= n - 1:
         raise ValueError(f"rho must be in [2, {n - 1}], got {rho}")
     terms = tuple(
-        (d, (n // d) * ((d - 2) // (rho - 1) + 1))
+        KlTerm(d, (n // d) * ((d - 2) // (rho - 1) + 1))
         for d in divisors(n)
         if d >= rho + 1
     )
@@ -71,7 +60,7 @@ class FlGrowthRecord:
 
 
 @dataclass(frozen=True)
-class FlGrowthReport:
+class FlGrowthReport(Record):
     """Integer-sumset growth |hA| >= |A| + (h-1)*span for normalized sets.
 
     When the hypothesis 2|A| - 3 >= span fails, the sizes are still recorded
@@ -86,29 +75,6 @@ class FlGrowthReport:
     @property
     def all_hold(self) -> bool:
         return all(r.holds for r in self.records)
-
-    def to_dict(self) -> dict:
-        return {
-            "members": list(self.members),
-            "span": self.span,
-            "hypothesis_ok": self.hypothesis_ok,
-            "records": [
-                {"h": r.h, "size": r.size, "lower_bound": r.lower_bound, "holds": r.holds}
-                for r in self.records
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> FlGrowthReport:
-        return cls(
-            members=tuple(d["members"]),
-            span=d["span"],
-            hypothesis_ok=d["hypothesis_ok"],
-            records=tuple(
-                FlGrowthRecord(r["h"], r["size"], r["lower_bound"], r["holds"])
-                for r in d["records"]
-            ),
-        )
 
 
 def int_sumset_sizes(members: tuple[int, ...], h_max: int) -> list[int]:
@@ -157,7 +123,7 @@ def fl_growth_check(a: IntSet, h_max: int) -> FlGrowthReport:
 
 
 @dataclass(frozen=True)
-class SandwichBounds:
+class SandwichBounds(Record):
     """The classical two-sided order bound for A = {0, a, b} with a >= 2,
     a | n, gcd(a, b) = 1, against the measured order.
 
@@ -174,21 +140,6 @@ class SandwichBounds:
     upper: int
     actual: int
     holds: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "a": self.a,
-            "b": self.b,
-            "lower": self.lower,
-            "upper": self.upper,
-            "actual": self.actual,
-            "holds": self.holds,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> SandwichBounds:
-        return cls(**d)
 
 
 def sandwich_bounds(n: int, a: int, b: int) -> SandwichBounds:
@@ -213,7 +164,7 @@ def sandwich_bounds(n: int, a: int, b: int) -> SandwichBounds:
 
 
 @dataclass(frozen=True)
-class PigeonholeWitness:
+class PigeonholeWitness(Record):
     """Smallest c in [1, k-1] whose multiple of t has numerically least residue
     of magnitude s <= n/k; r is the signed residue, s = |r|."""
 
@@ -223,13 +174,6 @@ class PigeonholeWitness:
     c: int
     r: int
     s: int
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "k": self.k, "t": self.t, "c": self.c, "r": self.r, "s": self.s}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> PigeonholeWitness:
-        return cls(**d)
 
 
 def pigeonhole_witness(n: int, k: int, t: int) -> PigeonholeWitness:
@@ -248,7 +192,7 @@ def pigeonhole_witness(n: int, k: int, t: int) -> PigeonholeWitness:
 
 
 @dataclass(frozen=True)
-class WitnessOrderBound:
+class WitnessOrderBound(Record):
     """Order bound s + c*n/s for the triple {0, 1, t}, from a pigeonhole witness.
 
     s = 0 makes the bound infinite (bound is None) and the check vacuous.
@@ -258,23 +202,6 @@ class WitnessOrderBound:
     bound: Fraction | None
     actual: int
     holds: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "witness": self.witness.to_dict(),
-            "bound": None if self.bound is None else format_fraction(self.bound),
-            "actual": self.actual,
-            "holds": self.holds,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> WitnessOrderBound:
-        return cls(
-            witness=PigeonholeWitness.from_dict(d["witness"]),
-            bound=None if d["bound"] is None else Fraction(d["bound"]),
-            actual=d["actual"],
-            holds=d["holds"],
-        )
 
 
 def witness_order_bound(witness: PigeonholeWitness) -> WitnessOrderBound:
@@ -292,7 +219,7 @@ def witness_order_bound(witness: PigeonholeWitness) -> WitnessOrderBound:
 
 
 @dataclass(frozen=True)
-class RepDecomposition:
+class RepDecomposition(Record):
     """Representation t = (d*n + e)/c with e the numerically least residue of
     c*t; applicable only when |e| <= c*k.
 
@@ -308,17 +235,6 @@ class RepDecomposition:
     e: int
     applicable: bool
     reducible: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n, "k": self.k, "t": self.t, "c": self.c,
-            "d": self.d, "e": self.e,
-            "applicable": self.applicable, "reducible": self.reducible,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> RepDecomposition:
-        return cls(**d)
 
 
 def rep_decompose(n: int, k: int, t: int, c: int) -> RepDecomposition:
@@ -343,7 +259,7 @@ def rep_decompose(n: int, k: int, t: int, c: int) -> RepDecomposition:
 
 
 @dataclass(frozen=True)
-class FamilyRecord:
+class FamilyRecord(Record):
     """Measured order of {0, 1, k} in Z_n for one family modulus n = mk - 1."""
 
     k: int
@@ -353,29 +269,6 @@ class FamilyRecord:
     min_gap: Fraction
     matches_k_minus_2_form: bool
     matches_k_minus_3_form: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "n": self.n,
-            "rho": self.rho,
-            "nearest_l": self.nearest_l,
-            "min_gap": format_fraction(self.min_gap),
-            "matches_k_minus_2_form": self.matches_k_minus_2_form,
-            "matches_k_minus_3_form": self.matches_k_minus_3_form,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> FamilyRecord:
-        return cls(
-            k=d["k"],
-            n=d["n"],
-            rho=d["rho"],
-            nearest_l=d["nearest_l"],
-            min_gap=Fraction(d["min_gap"]),
-            matches_k_minus_2_form=d["matches_k_minus_2_form"],
-            matches_k_minus_3_form=d["matches_k_minus_3_form"],
-        )
 
 
 def min_gap_to_fractions(rho: int, n: int, k: int) -> tuple[int, Fraction]:

@@ -28,10 +28,11 @@ from .bounds import (
     sandwich_bounds,
     witness_order_bound,
 )
-from .core import IntSet, ZnSet, format_fraction, format_order, parse_exact_number
+from .core import IntSet, ZnSet, encode, format_fraction, format_order
 from .spectrum import (
     DEFAULT_CARD_CAP,
     DEFAULT_EXHAUSTIVE_LIMIT,
+    check_kl_bound,
     spectrum,
     verify_conjecture,
 )
@@ -54,8 +55,37 @@ def _bool(v: bool) -> str:
     return "true" if v else "false"
 
 
-def _emit_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True)
+def _cell(value) -> str:
+    """One CSV cell: the JSON form of the value, with bools as true/false,
+    None empty, lists joined by ';' and ',' inside strings turned into ';'."""
+    value = encode(value)
+    if isinstance(value, bool):
+        return _bool(value)
+    if value is None:
+        return ""
+    if isinstance(value, list):
+        return ";".join(str(x) for x in value)
+    if isinstance(value, str):
+        return value.replace(",", ";")
+    return str(value)
+
+
+def _emit(fmt: str, payload, sections, lines) -> None:
+    """Print a command's result in the chosen format; only that one is built.
+
+    payload() gives the JSON value, sections() the CSV sections as
+    (header, rows) pairs, and lines() the table lines.
+    """
+    if fmt == "json":
+        click.echo(json.dumps(encode(payload()), indent=2, sort_keys=True))
+    elif fmt == "csv":
+        for header, rows in sections():
+            click.echo(header)
+            for row in rows:
+                click.echo(",".join(_cell(v) for v in row))
+    else:
+        for line in lines():
+            click.echo(line)
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -83,10 +113,9 @@ def _parse_set(n: int, text: str) -> ZnSet:
 
 def _parse_sigma(text: str) -> Fraction:
     try:
-        sigma = parse_exact_number(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise click.UsageError(f"sigma must be an exact rational: {exc}") from exc
-    return sigma
 
 
 class _Cli(click.Group):
@@ -117,31 +146,27 @@ def order_cmd(n: int, set_text: str, with_trajectory: bool, fmt: str) -> None:
     a = _parse_set(n, set_text)
     if not with_trajectory:
         rho = order(a)
-        if fmt == "json":
-            click.echo(_emit_json({"n": n, "set": a.to_text(), "order": rho}))
-        elif fmt == "csv":
-            click.echo("n,set,order")
-            click.echo(f"{n},{a.to_text(';')},{format_order(rho)}")
-        else:
-            click.echo(format_order(rho))
+        _emit(fmt,
+              lambda: {"n": n, "set": a, "order": rho},
+              lambda: [("n,set,order", [(n, a, format_order(rho))])],
+              lambda: [format_order(rho)])
         return
     traj = trajectory(a)
-    if fmt == "json":
-        click.echo(_emit_json({"n": n, "set": a.to_text(), **traj.to_dict()}))
-    elif fmt == "csv":
-        lines = ["h,size"]
-        lines += [f"{h},{s}" for h, s in enumerate(traj.sizes, start=1)]
-        lines.append("n,set,order")
-        lines.append(f"{n},{a.to_text(';')},{format_order(traj.order)}")
-        click.echo("\n".join(lines))
-    else:
-        click.echo(f"base (0-translated): {{{traj.base.to_text()}}}")
+
+    def lines():
+        yield f"base (0-translated): {{{traj.base.to_text()}}}"
         for h, (lv, s) in enumerate(zip(traj.levels, traj.sizes), start=1):
-            click.echo(f"  h={h:<3d} |hA|={s:<4d} {{{lv.to_text()}}}")
+            yield f"  h={h:<3d} |hA|={s:<4d} {{{lv.to_text()}}}"
         if traj.order is not None:
-            click.echo(f"order: {traj.order}")
+            yield f"order: {traj.order}"
         else:
-            click.echo(f"order: inf (stabilized at {{{traj.stabilized.to_text()}}})")
+            yield f"order: inf (stabilized at {{{traj.stabilized.to_text()}}})"
+
+    _emit(fmt,
+          lambda: {"n": n, "set": a, **traj.to_dict()},
+          lambda: [("h,size", enumerate(traj.sizes, start=1)),
+                   ("n,set,order", [(n, a, format_order(traj.order))])],
+          lines)
 
 
 @main.command("canon")
@@ -153,16 +178,10 @@ def canon_cmd(n: int, set_text: str, fmt: str) -> None:
     a = _parse_set(n, set_text)
     canon = canonical_form(a)
     size = len(orbit(a))
-    if fmt == "json":
-        click.echo(_emit_json(
-            {"n": n, "set": a.to_text(), "canonical": canon.to_text(), "orbit_size": size}
-        ))
-    elif fmt == "csv":
-        click.echo("n,set,canonical,orbit_size")
-        click.echo(f"{n},{a.to_text(';')},{canon.to_text(';')},{size}")
-    else:
-        click.echo(f"canonical: {{{canon.to_text()}}}")
-        click.echo(f"orbit size: {size}")
+    _emit(fmt,
+          lambda: {"n": n, "set": a, "canonical": canon, "orbit_size": size},
+          lambda: [("n,set,canonical,orbit_size", [(n, a, canon, size)])],
+          lambda: [f"canonical: {{{canon.to_text()}}}", f"orbit size: {size}"])
 
 
 @main.command("spectrum")
@@ -181,41 +200,23 @@ def spectrum_cmd(n, exhaustive, max_card, limit, shards, fmt) -> None:
     if exhaustive and max_card is not None:
         raise click.UsageError("--exhaustive and --max-card are mutually exclusive")
     report = spectrum(n, max_card=max_card, limit=limit, shards=shards)
-    if fmt == "json":
-        click.echo(_emit_json(report.to_dict()))
-    elif fmt == "csv":
-        lines = ["n,order,witness"]
-        lines += [f"{n},{o},{w.to_text(';')}" for o, w in report.witnesses]
-        lines.append("n,gap_start,gap_end")
-        lines += [f"{n},{a},{b}" for a, b in report.gaps]
-        click.echo("\n".join(lines))
-    else:
-        click.echo(f"spectrum of Z_{n} ({report.mode}"
-                   + (f", max card {report.max_card}" if report.max_card else "")
-                   + ")")
+
+    def lines():
+        yield (f"spectrum of Z_{n} ({report.mode}"
+               + (f", max card {report.max_card}" if report.max_card else "")
+               + ")")
         for o, w in report.witnesses:
-            click.echo(f"  order {o:<4d} witness {{{w.to_text()}}}")
+            yield f"  order {o:<4d} witness {{{w.to_text()}}}"
         if report.gaps:
-            runs = ", ".join(f"[{a},{b}]" for a, b in report.gaps)
-            click.echo(f"  gaps: {runs}")
+            yield "  gaps: " + ", ".join(f"[{a},{b}]" for a, b in report.gaps)
         else:
-            click.echo("  gaps: none")
+            yield "  gaps: none"
 
-
-def _conjecture_csv_single(report) -> str:
-    lines = ["n,k,order,witness,nearest_l,min_gap"]
-    for e in report.exceeders:
-        lines.append(
-            f"{report.n},{report.k},{e.order},{e.witness.to_text(';')},"
-            f"{e.nearest_l},{format_fraction(e.min_gap)}"
-        )
-    lines.append("n,k,max_min_gap,argmax_witness,caveat")
-    argmax = "" if report.argmax_witness is None else report.argmax_witness.to_text(";")
-    lines.append(
-        f"{report.n},{report.k},{format_fraction(report.max_min_gap)},"
-        f"{argmax},{_bool(report.completeness_caveat)}"
-    )
-    return "\n".join(lines)
+    _emit(fmt,
+          lambda: report,
+          lambda: [("n,order,witness", [(n, o, w) for o, w in report.witnesses]),
+                   ("n,gap_start,gap_end", [(n, a, b) for a, b in report.gaps])],
+          lines)
 
 
 @main.command("conjecture")
@@ -244,52 +245,43 @@ def conjecture_cmd(k, n, n_range, max_card, limit, shards, no_kl_cap, fmt) -> No
         for m in moduli
     ]
     if len(reports) == 1:
-        report = reports[0]
-        if fmt == "json":
-            click.echo(_emit_json(report.to_dict()))
-        elif fmt == "csv":
-            click.echo(_conjecture_csv_single(report))
-        else:
+        r = reports[0]
+
+        def lines():
             caveat = " (completeness caveat: cardinality-capped)" \
-                if report.completeness_caveat else ""
-            click.echo(f"bases of Z_{report.n} with order > {report.n}/{report.k}:"
-                       f"{caveat}")
-            for e in report.exceeders:
-                click.echo(
-                    f"  order {e.order:<4d} gap {format_fraction(e.min_gap):>8s} "
-                    f"(nearest l={e.nearest_l}) witness {{{e.witness.to_text()}}}"
-                )
-            click.echo(f"max min-gap: {format_fraction(report.max_min_gap)}")
+                if r.completeness_caveat else ""
+            yield f"bases of Z_{r.n} with order > {r.n}/{r.k}:{caveat}"
+            for e in r.exceeders:
+                yield (f"  order {e.order:<4d} gap {format_fraction(e.min_gap):>8s} "
+                       f"(nearest l={e.nearest_l}) witness {{{e.witness.to_text()}}}")
+            yield f"max min-gap: {format_fraction(r.max_min_gap)}"
+
+        _emit(fmt,
+              lambda: r,
+              lambda: [("n,k,order,witness,nearest_l,min_gap",
+                        [(r.n, r.k, e.order, e.witness, e.nearest_l, e.min_gap)
+                         for e in r.exceeders]),
+                       ("n,k,max_min_gap,argmax_witness,caveat",
+                        [(r.n, r.k, r.max_min_gap, r.argmax_witness,
+                          r.completeness_caveat)])],
+              lines)
         return
     running = Fraction(0)
     rows = []
     for rep in reports:
         running = max(running, rep.max_min_gap)
         rows.append((rep, running))
-    if fmt == "json":
-        click.echo(_emit_json({
-            "k": k,
-            "reports": [rep.to_dict() for rep in reports],
-            "running_max": [
-                {"n": rep.n, "value": format_fraction(rm)} for rep, rm in rows
-            ],
-        }))
-    elif fmt == "csv":
-        lines = ["n,k,max_min_gap,running_max,argmax_witness,caveat"]
-        for rep, rm in rows:
-            argmax = "" if rep.argmax_witness is None else rep.argmax_witness.to_text(";")
-            lines.append(
-                f"{rep.n},{rep.k},{format_fraction(rep.max_min_gap)},"
-                f"{format_fraction(rm)},{argmax},{_bool(rep.completeness_caveat)}"
-            )
-        click.echo("\n".join(lines))
-    else:
-        click.echo(f"order > n/{k} gap sweep:")
-        for rep, rm in rows:
-            click.echo(
-                f"  n={rep.n:<4d} max gap {format_fraction(rep.max_min_gap):>8s}"
-                f"  running max {format_fraction(rm):>8s}"
-            )
+    _emit(fmt,
+          lambda: {"k": k, "reports": reports,
+                   "running_max": [{"n": rep.n, "value": rm} for rep, rm in rows]},
+          lambda: [("n,k,max_min_gap,running_max,argmax_witness,caveat",
+                    [(rep.n, rep.k, rep.max_min_gap, rm, rep.argmax_witness,
+                      rep.completeness_caveat) for rep, rm in rows])],
+          lambda: [f"order > n/{k} gap sweep:"] + [
+              f"  n={rep.n:<4d} max gap {format_fraction(rep.max_min_gap):>8s}"
+              f"  running max {format_fraction(rm):>8s}"
+              for rep, rm in rows
+          ])
 
 
 @main.command("kl-bound")
@@ -306,40 +298,28 @@ def kl_bound_cmd(n: int, rho: int, check: bool, limit: int, fmt: str) -> None:
     With --check, exits 1 if some enumerated basis violates the bound.
     """
     report = kl_bound(n, rho)
-    violations = 0
-    checked = None
-    if check:
-        checked = 0
-        from .spectrum import enumerate_bases
-        from .sumsets import order as _order
+    checked, violations = check_kl_bound(report, limit) if check else (None, 0)
 
-        for rep in enumerate_bases(n, limit=limit):
-            rho_a = _order(rep)
-            if rho_a is not None and rho_a >= rho:
-                checked += 1
-                if len(rep) > report.bound:
-                    violations += 1
-    if fmt == "json":
-        payload = report.to_dict()
+    def payload():
+        d = report.to_dict()
         if check:
-            payload["checked_orbits"] = checked
-            payload["violations"] = violations
-        click.echo(_emit_json(payload))
-    elif fmt == "csv":
-        lines = ["n,rho,d,value"]
-        lines += [f"{n},{rho},{d},{v}" for d, v in report.terms]
-        lines.append("n,rho,bound")
-        lines.append(f"{n},{rho},{report.bound}")
+            d.update(checked_orbits=checked, violations=violations)
+        return d
+
+    def sections():
+        yield "n,rho,d,value", [(n, rho, d, v) for d, v in report.terms]
+        yield "n,rho,bound", [(n, rho, report.bound)]
         if check:
-            lines.append("checked_orbits,violations")
-            lines.append(f"{checked},{violations}")
-        click.echo("\n".join(lines))
-    else:
+            yield "checked_orbits,violations", [(checked, violations)]
+
+    def lines():
         for d, v in report.terms:
-            click.echo(f"  d={d:<4d} term={v}")
-        click.echo(f"bound: {report.bound}")
+            yield f"  d={d:<4d} term={v}"
+        yield f"bound: {report.bound}"
         if check:
-            click.echo(f"checked {checked} basis orbits, {violations} violations")
+            yield f"checked {checked} basis orbits, {violations} violations"
+
+    _emit(fmt, payload, sections, lines)
     if violations:
         sys.exit(1)
 
@@ -354,24 +334,22 @@ def fl_check_cmd(set_text: str, h_max: int, fmt: str) -> None:
 
     Exits 1 if the bound fails anywhere while its hypothesis holds.
     """
-    a = IntSet.from_text(set_text)
-    report = fl_growth_check(a, h_max)
-    if fmt == "json":
-        click.echo(_emit_json(report.to_dict()))
-    elif fmt == "csv":
-        lines = ["members,span,hypothesis_ok"]
-        lines.append(f"{a.to_text(';')},{report.span},{_bool(report.hypothesis_ok)}")
-        lines.append("h,size,lower_bound,holds")
-        lines += [
-            f"{r.h},{r.size},{r.lower_bound},{_bool(r.holds)}" for r in report.records
-        ]
-        click.echo("\n".join(lines))
-    else:
+    report = fl_growth_check(IntSet.from_text(set_text), h_max)
+
+    def lines():
         hyp = "holds" if report.hypothesis_ok else "FAILS (records not asserted)"
-        click.echo(f"span {report.span}, hypothesis 2|A|-3 >= span: {hyp}")
+        yield f"span {report.span}, hypothesis 2|A|-3 >= span: {hyp}"
         for r in report.records:
             mark = "ok" if r.holds else "VIOLATED"
-            click.echo(f"  h={r.h:<3d} |hA|={r.size:<6d} bound {r.lower_bound:<6d} {mark}")
+            yield f"  h={r.h:<3d} |hA|={r.size:<6d} bound {r.lower_bound:<6d} {mark}"
+
+    _emit(fmt,
+          lambda: report,
+          lambda: [("members,span,hypothesis_ok",
+                    [(report.members, report.span, report.hypothesis_ok)]),
+                   ("h,size,lower_bound,holds",
+                    [(r.h, r.size, r.lower_bound, r.holds) for r in report.records])],
+          lines)
     if report.hypothesis_ok and not report.all_hold:
         sys.exit(1)
 
@@ -386,22 +364,14 @@ def sandwich_cmd(n: int, a: int, b: int, fmt: str) -> None:
 
     Exits 1 if the measured order falls outside the bound.
     """
-    report = sandwich_bounds(n, a, b)
-    if fmt == "json":
-        click.echo(_emit_json(report.to_dict()))
-    elif fmt == "csv":
-        click.echo("n,a,b,lower,upper,actual,holds")
-        click.echo(
-            f"{n},{a},{b},{report.lower},{report.upper},{report.actual},"
-            f"{_bool(report.holds)}"
-        )
-    else:
-        mark = "ok" if report.holds else "VIOLATED"
-        click.echo(
-            f"{report.lower} <= order {{0,{a},{b}}} = {report.actual} "
-            f"<= {report.upper}: {mark}"
-        )
-    if not report.holds:
+    r = sandwich_bounds(n, a, b)
+    mark = "ok" if r.holds else "VIOLATED"
+    _emit(fmt,
+          lambda: r,
+          lambda: [("n,a,b,lower,upper,actual,holds",
+                    [(n, a, b, r.lower, r.upper, r.actual, r.holds)])],
+          lambda: [f"{r.lower} <= order {{0,{a},{b}}} = {r.actual} <= {r.upper}: {mark}"])
+    if not r.holds:
         sys.exit(1)
 
 
@@ -419,29 +389,23 @@ def pigeonhole_cmd(n: int, k: int, t: int, fmt: str) -> None:
     witness = pigeonhole_witness(n, k, t)
     bound = witness_order_bound(witness)
     decomp = rep_decompose(n, k, t, witness.c)
-    if fmt == "json":
-        click.echo(_emit_json({
-            "witness": witness.to_dict(),
-            "order_bound": bound.to_dict(),
-            "decomposition": decomp.to_dict(),
-        }))
-    elif fmt == "csv":
-        click.echo("n,k,t,c,r,s,bound,actual,holds,d,e,applicable")
-        b_txt = "inf" if bound.bound is None else format_fraction(bound.bound)
-        click.echo(
-            f"{n},{k},{t},{witness.c},{witness.r},{witness.s},{b_txt},"
-            f"{bound.actual},{_bool(bound.holds)},{decomp.d},{decomp.e},"
-            f"{_bool(decomp.applicable)}"
-        )
-    else:
-        click.echo(f"witness: c={witness.c}, r={witness.r}, s={witness.s}")
-        b_txt = "inf" if bound.bound is None else format_fraction(bound.bound)
+    b_txt = "inf" if bound.bound is None else format_fraction(bound.bound)
+
+    def lines():
+        yield f"witness: c={witness.c}, r={witness.r}, s={witness.s}"
         mark = "ok" if bound.holds else "VIOLATED"
-        click.echo(f"order {{0,1,{t}}} = {bound.actual} <= {b_txt}: {mark}")
+        yield f"order {{0,1,{t}}} = {bound.actual} <= {b_txt}: {mark}"
         if decomp.applicable:
-            click.echo(f"t = ({decomp.d}*{n} + {decomp.e})/{decomp.c}")
+            yield f"t = ({decomp.d}*{n} + {decomp.e})/{decomp.c}"
         else:
-            click.echo(f"no representation with |e| <= c*k (s = {witness.s} > {witness.c * k})")
+            yield f"no representation with |e| <= c*k (s = {witness.s} > {witness.c * k})"
+
+    _emit(fmt,
+          lambda: {"witness": witness, "order_bound": bound, "decomposition": decomp},
+          lambda: [("n,k,t,c,r,s,bound,actual,holds,d,e,applicable",
+                    [(n, k, t, witness.c, witness.r, witness.s, b_txt, bound.actual,
+                      bound.holds, decomp.d, decomp.e, decomp.applicable)])],
+          lines)
     if not bound.holds:
         sys.exit(1)
 
@@ -457,41 +421,33 @@ def pigeonhole_cmd(n: int, k: int, t: int, fmt: str) -> None:
 def df_analyze_cmd(n: int, set_text: str, sigma: str, coprime_diff: bool, fmt: str) -> None:
     """Small-doubling coset structure scan over every proper subgroup."""
     a = _parse_set(n, set_text)
-    analysis = df_analyze(a, sigma=_parse_sigma(sigma), coprime_only=coprime_diff)
-    if fmt == "json":
-        click.echo(_emit_json(analysis.to_dict()))
-    elif fmt == "csv":
-        lines = ["m,q,cosets_met,max_coset_fraction,ap_start,ap_diff,ap_len,case,inequality_holds"]
-        for r in analysis.reports:
-            lines.append(
-                f"{r.m},{r.q},{r.cosets_met},{format_fraction(r.max_coset_fraction)},"
-                f"{r.ap_start},{r.ap_diff},{r.ap_len},{r.case},{_bool(r.inequality_holds)}"
-            )
-        lines.append("set_size,double_size,doubling_ratio,doubling_ok,density_ok,best_m")
-        best_m = "" if analysis.best is None else str(analysis.best.m)
-        lines.append(
-            f"{analysis.set_size},{analysis.double_size},"
-            f"{format_fraction(analysis.doubling_ratio)},"
-            f"{_bool(analysis.doubling_hypothesis_ok)},"
-            f"{_bool(analysis.density_hypothesis_ok)},{best_m}"
-        )
-        click.echo("\n".join(lines))
-    else:
-        click.echo(
-            f"|A| = {analysis.set_size}, |2A| = {analysis.double_size}, "
-            f"ratio {format_fraction(analysis.doubling_ratio)} "
-            f"(< sigma: {_bool(analysis.doubling_hypothesis_ok)})"
-        )
-        for r in analysis.reports:
-            star = " *" if r is analysis.best else ""
-            click.echo(
-                f"  m={r.m:<4d} cosets {r.cosets_met:<4d} "
-                f"frac {format_fraction(r.max_coset_fraction):>6s} "
-                f"AP(start {r.ap_start}, diff {r.ap_diff}, len {r.ap_len}) "
-                f"{r.case:<13s} ineq {_bool(r.inequality_holds)}{star}"
-            )
-        if analysis.best is None:
-            click.echo("best: none")
+    an = df_analyze(a, sigma=_parse_sigma(sigma), coprime_only=coprime_diff)
+
+    def lines():
+        yield (f"|A| = {an.set_size}, |2A| = {an.double_size}, "
+               f"ratio {format_fraction(an.doubling_ratio)} "
+               f"(< sigma: {_bool(an.doubling_hypothesis_ok)})")
+        for r in an.reports:
+            star = " *" if r is an.best else ""
+            yield (f"  m={r.m:<4d} cosets {r.cosets_met:<4d} "
+                   f"frac {format_fraction(r.max_coset_fraction):>6s} "
+                   f"AP(start {r.ap_start}, diff {r.ap_diff}, len {r.ap_len}) "
+                   f"{r.case:<13s} ineq {_bool(r.inequality_holds)}{star}")
+        if an.best is None:
+            yield "best: none"
+
+    _emit(fmt,
+          lambda: an,
+          lambda: [("m,q,cosets_met,max_coset_fraction,ap_start,ap_diff,ap_len,case,"
+                    "inequality_holds",
+                    [(r.m, r.q, r.cosets_met, r.max_coset_fraction, r.ap_start,
+                      r.ap_diff, r.ap_len, r.case, r.inequality_holds)
+                     for r in an.reports]),
+                   ("set_size,double_size,doubling_ratio,doubling_ok,density_ok,best_m",
+                    [(an.set_size, an.double_size, an.doubling_ratio,
+                      an.doubling_hypothesis_ok, an.density_hypothesis_ok,
+                      None if an.best is None else an.best.m)])],
+          lines)
 
 
 @main.command("pipeline")
@@ -504,27 +460,11 @@ def df_analyze_cmd(n: int, set_text: str, sigma: str, coprime_diff: bool, fmt: s
 def pipeline_cmd(n: int, set_text: str, k: int, sigma: str, fmt: str) -> None:
     """End-to-end structure-argument trace with exact slack values."""
     a = _parse_set(n, set_text)
-    trace = pipeline_trace(a, k, sigma=_parse_sigma(sigma))
-    d = trace.to_dict()
-    if fmt == "json":
-        click.echo(_emit_json(d))
-    elif fmt == "csv":
-        lines = ["field,value"]
-        for key in sorted(d):
-            v = d[key]
-            if isinstance(v, bool):
-                v = _bool(v)
-            elif isinstance(v, list):
-                v = ";".join(str(x) for x in v)
-            elif isinstance(v, str):
-                v = v.replace(",", ";")
-            elif v is None:
-                v = ""
-            lines.append(f"{key},{v}")
-        click.echo("\n".join(lines))
-    else:
-        for key in sorted(d):
-            click.echo(f"  {key}: {d[key]}")
+    d = pipeline_trace(a, k, sigma=_parse_sigma(sigma)).to_dict()
+    _emit(fmt,
+          lambda: d,
+          lambda: [("field,value", [(key, d[key]) for key in sorted(d)])],
+          lambda: [f"  {key}: {d[key]}" for key in sorted(d)])
 
 
 @main.command("family")
@@ -535,16 +475,8 @@ def family_cmd(k: int, n_range: str, fmt: str) -> None:
     """Measured orders of {0,1,k} for moduli n = -1 mod k in the range."""
     lo, hi = _parse_range(n_range)
     records = lower_bound_family(k, (lo, hi))
-    if fmt == "json":
-        click.echo(_emit_json({"k": k, "records": [r.to_dict() for r in records]}))
-    elif fmt == "csv":
-        lines = ["k,n,rho,nearest_l,min_gap"]
-        lines += [
-            f"{r.k},{r.n},{r.rho},{r.nearest_l},{format_fraction(r.min_gap)}"
-            for r in records
-        ]
-        click.echo("\n".join(lines))
-    else:
+
+    def lines():
         for r in records:
             forms = []
             if r.matches_k_minus_2_form:
@@ -552,10 +484,14 @@ def family_cmd(k: int, n_range: str, fmt: str) -> None:
             if r.matches_k_minus_3_form:
                 forms.append("matches (k-3)+1/k")
             note = f"  [{', '.join(forms)}]" if forms else ""
-            click.echo(
-                f"  n={r.n:<5d} rho={r.rho:<5d} nearest l={r.nearest_l} "
-                f"gap {format_fraction(r.min_gap)}{note}"
-            )
+            yield (f"  n={r.n:<5d} rho={r.rho:<5d} nearest l={r.nearest_l} "
+                   f"gap {format_fraction(r.min_gap)}{note}")
+
+    _emit(fmt,
+          lambda: {"k": k, "records": records},
+          lambda: [("k,n,rho,nearest_l,min_gap",
+                    [(r.k, r.n, r.rho, r.nearest_l, r.min_gap) for r in records])],
+          lines)
 
 
 if __name__ == "__main__":

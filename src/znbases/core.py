@@ -8,9 +8,10 @@ comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from types import UnionType
+from typing import Iterable, Iterator, get_args, get_origin, get_type_hints
 
 
 def nlr(x: int, n: int) -> int:
@@ -246,7 +247,7 @@ def is_basis(a: ZnSet) -> bool:
     return g == 1
 
 
-# -- serialization helpers ----------------------------------------------------
+# -- serialization ------------------------------------------------------------
 #
 # Infinite order is represented as None in memory, the JSON value null, and
 # the CSV token "inf".  Rationals are emitted as exact fraction strings "p/q"
@@ -256,10 +257,6 @@ def format_order(order: int | None) -> str:
     return "inf" if order is None else str(order)
 
 
-def parse_order(text: str) -> int | None:
-    return None if text == "inf" else int(text)
-
-
 def format_fraction(value: Fraction | int) -> str:
     f = Fraction(value)
     if f.denominator == 1:
@@ -267,10 +264,89 @@ def format_fraction(value: Fraction | int) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
+def with_modulus(key: str):
+    """A ZnSet field encoded as two keys: "modulus" and `key` (the set literal)."""
+    return field(metadata={"with_modulus": key})
 
 
-def parse_exact_number(text: str) -> Fraction:
-    """Parse "2.04", "51/25" or "2" into an exact Fraction (never a float)."""
-    return Fraction(text)
+def encode(value):
+    """The JSON form of a report value.
+
+    A ZnSet becomes its set literal and a Fraction its exact string; named
+    tuples become objects keyed by field name, other tuples and lists become
+    lists, records (dataclasses) become objects field by field; None, bools,
+    ints and strings pass through.
+    """
+    if isinstance(value, ZnSet):  # before the dataclass case: ZnSet is one
+        return value.to_text()
+    if isinstance(value, Fraction):
+        return format_fraction(value)
+    if is_dataclass(value):
+        out = {}
+        for f in fields(value):
+            v = getattr(value, f.name)
+            key = f.metadata.get("with_modulus")
+            if key is None:
+                out[f.name] = encode(v)
+            else:
+                out["modulus"], out[key] = v.modulus, v.to_text()
+        return out
+    if hasattr(value, "_asdict"):
+        return {k: encode(v) for k, v in value._asdict().items()}
+    if isinstance(value, (tuple, list)):
+        return [encode(v) for v in value]
+    if isinstance(value, dict):
+        return {k: encode(v) for k, v in value.items()}
+    return value
+
+
+def _decode(tp, value, modulus: int | None):
+    """Rebuild a value of annotated type `tp` from its JSON form; a ZnSet
+    takes the modulus of the nearest enclosing record that names one."""
+    if value is None:
+        return None
+    if isinstance(tp, UnionType):
+        (tp,) = [t for t in get_args(tp) if t is not type(None)]
+    if tp is ZnSet:
+        if modulus is None:
+            raise ValueError(f"no enclosing n or modulus for the set {value!r}")
+        return ZnSet.from_text(modulus, value)
+    if tp is Fraction:
+        return Fraction(value)
+    if is_dataclass(tp):
+        modulus = value.get("n", value.get("modulus", modulus))
+        hints = get_type_hints(tp)
+        kwargs = {}
+        for f in fields(tp):
+            key = f.metadata.get("with_modulus")
+            if key is None:
+                kwargs[f.name] = _decode(hints[f.name], value[f.name], modulus)
+            else:
+                kwargs[f.name] = ZnSet.from_text(value["modulus"], value[key])
+        return tp(**kwargs)
+    if hasattr(tp, "_fields"):
+        hints = get_type_hints(tp)
+        return tp(*(_decode(hints[k], value[k], modulus) for k in tp._fields))
+    if get_origin(tp) is tuple:
+        args = get_args(tp)
+        if len(args) == 2 and args[1] is Ellipsis:
+            return tuple(_decode(args[0], v, modulus) for v in value)
+        return tuple(_decode(t, v, modulus) for t, v in zip(args, value))
+    return value
+
+
+class Record:
+    """Mixin for report dataclasses: one type-driven JSON codec for all.
+
+    to_dict applies `encode`; from_dict inverts it from the field
+    annotations.  Fields declared with `with_modulus` carry their own
+    modulus; every other ZnSet takes it from the enclosing record's `n` or
+    `modulus` key.
+    """
+
+    def to_dict(self) -> dict:
+        return encode(self)
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        return _decode(cls, d, None)

@@ -12,12 +12,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .affine import canonical_form, is_canonical, zero_based_images
-from .bounds import kl_bound, min_gap_to_fractions
+from .bounds import KlBoundBreakdown, kl_bound, min_gap_to_fractions
 from .core import (
-    ZnSet, canonical_sort_key, divisors, format_fraction, is_basis, mask_less,
+    Record, ZnSet, canonical_sort_key, divisors, is_basis, mask_less,
 )
 from .sumsets import order
 
@@ -25,8 +25,13 @@ DEFAULT_EXHAUSTIVE_LIMIT = 20
 DEFAULT_CARD_CAP = 6
 
 
+class OrderWitness(NamedTuple):
+    order: int
+    witness: ZnSet
+
+
 @dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(Record):
     """Achieved finite orders over one representative per basis orbit.
 
     gaps are the maximal runs inside [1, n-1] with no achieved order; each
@@ -38,37 +43,11 @@ class SpectrumReport:
     max_card: int | None
     achieved_orders: tuple[int, ...]
     gaps: tuple[tuple[int, int], ...]
-    witnesses: tuple[tuple[int, ZnSet], ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "mode": self.mode,
-            "max_card": self.max_card,
-            "achieved_orders": list(self.achieved_orders),
-            "gaps": [[a, b] for a, b in self.gaps],
-            "witnesses": [
-                {"order": o, "witness": w.to_text()} for o, w in self.witnesses
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> SpectrumReport:
-        return cls(
-            n=d["n"],
-            mode=d["mode"],
-            max_card=d["max_card"],
-            achieved_orders=tuple(d["achieved_orders"]),
-            gaps=tuple((a, b) for a, b in d["gaps"]),
-            witnesses=tuple(
-                (w["order"], ZnSet.from_text(d["n"], w["witness"]))
-                for w in d["witnesses"]
-            ),
-        )
+    witnesses: tuple[OrderWitness, ...]
 
 
 @dataclass(frozen=True)
-class Exceeder:
+class Exceeder(Record):
     """One basis orbit whose order exceeds n/k, with its gap to the nearest n/l."""
 
     witness: ZnSet
@@ -76,17 +55,9 @@ class Exceeder:
     nearest_l: int
     min_gap: Fraction
 
-    def to_dict(self) -> dict:
-        return {
-            "witness": self.witness.to_text(),
-            "order": self.order,
-            "nearest_l": self.nearest_l,
-            "min_gap": format_fraction(self.min_gap),
-        }
-
 
 @dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(Record):
     """Empirical gap measurement over all enumerated bases with order > n/k.
 
     max_min_gap is the largest, over those bases, of the distance from the
@@ -105,46 +76,6 @@ class ConjectureReport:
     exceeders: tuple[Exceeder, ...]
     max_min_gap: Fraction
     argmax_witness: ZnSet | None
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "mode": self.mode,
-            "max_card": self.max_card,
-            "kl_cap": self.kl_cap,
-            "completeness_caveat": self.completeness_caveat,
-            "exceeders": [e.to_dict() for e in self.exceeders],
-            "max_min_gap": format_fraction(self.max_min_gap),
-            "argmax_witness": None
-            if self.argmax_witness is None
-            else self.argmax_witness.to_text(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> ConjectureReport:
-        n = d["n"]
-        return cls(
-            n=n,
-            k=d["k"],
-            mode=d["mode"],
-            max_card=d["max_card"],
-            kl_cap=d["kl_cap"],
-            completeness_caveat=d["completeness_caveat"],
-            exceeders=tuple(
-                Exceeder(
-                    witness=ZnSet.from_text(n, e["witness"]),
-                    order=e["order"],
-                    nearest_l=e["nearest_l"],
-                    min_gap=Fraction(e["min_gap"]),
-                )
-                for e in d["exceeders"]
-            ),
-            max_min_gap=Fraction(d["max_min_gap"]),
-            argmax_witness=None
-            if d["argmax_witness"] is None
-            else ZnSet.from_text(n, d["argmax_witness"]),
-        )
 
 
 def _shard_key(mask: int, n: int) -> int:
@@ -257,24 +188,27 @@ def _check_shards(shards: int) -> None:
         raise ValueError(f"shards must be >= 1, got {shards}")
 
 
-def _merge_order_witnesses(
-    partials: list[dict[int, ZnSet]],
-) -> dict[int, ZnSet]:
-    merged: dict[int, ZnSet] = {}
-    for partial in partials:
-        for rho, witness in partial.items():
-            cur = merged.get(rho)
-            if cur is None or canonical_sort_key(witness) < canonical_sort_key(cur):
-                merged[rho] = witness
-    return merged
+def _by_shard(items: list, shards: int, key) -> Iterator:
+    """The items taken shard by shard: shard s holds those whose key is s mod
+    shards.  Every item lands in exactly one shard, and each caller merges
+    by set union or minimum, so the shard count never changes a result."""
+    for shard in range(shards):
+        for item in items:
+            if key(item) % shards == shard:
+                yield item
 
 
-def _basis_order(a: ZnSet) -> int:
-    """The order of an enumerated basis, which is finite by construction."""
-    rho = order(a)
-    if rho is None:
-        raise RuntimeError(f"enumerated basis {a!r} has infinite order")
-    return rho
+def _basis_orders(
+    n: int, max_card: int | None, limit: int, shards: int
+) -> Iterator[tuple[ZnSet, int]]:
+    """Every basis orbit representative with its order.  The enumeration
+    runs once; only the order computations are split into shards."""
+    reps = list(enumerate_bases(n, max_card, limit))
+    for rep in _by_shard(reps, shards, lambda a: _shard_key(a.mask, n)):
+        rho = order(rep)
+        if rho is None:
+            raise RuntimeError(f"enumerated basis {rep!r} has infinite order")
+        yield rep, rho
 
 
 def _gap_runs(achieved: set[int], n: int) -> tuple[tuple[int, int], ...]:
@@ -300,25 +234,36 @@ def spectrum(
 ) -> SpectrumReport:
     """Achieved-order spectrum of Z_n with gap runs and per-order witnesses."""
     _check_shards(shards)
-    partials = []
-    for shard in range(shards):
-        part: dict[int, ZnSet] = {}
-        for rep in enumerate_bases(n, max_card, limit, shard=shard, shards=shards):
-            rho = _basis_order(rep)
-            cur = part.get(rho)
-            if cur is None or canonical_sort_key(rep) < canonical_sort_key(cur):
-                part[rho] = rep
-        partials.append(part)
-    merged = _merge_order_witnesses(partials)
-    achieved = tuple(sorted(merged))
+    witness: dict[int, ZnSet] = {}
+    for rep, rho in _basis_orders(n, max_card, limit, shards):
+        cur = witness.get(rho)
+        if cur is None or canonical_sort_key(rep) < canonical_sort_key(cur):
+            witness[rho] = rep
+    achieved = tuple(sorted(witness))
     return SpectrumReport(
         n=n,
         mode="exhaustive" if max_card is None else "card_capped",
         max_card=max_card,
         achieved_orders=achieved,
         gaps=_gap_runs(set(achieved), n),
-        witnesses=tuple((rho, merged[rho]) for rho in achieved),
+        witnesses=tuple(OrderWitness(rho, witness[rho]) for rho in achieved),
     )
+
+
+def check_kl_bound(
+    report: KlBoundBreakdown, limit: int = DEFAULT_EXHAUSTIVE_LIMIT
+) -> tuple[int, int]:
+    """Test the cardinality bound on every basis orbit of Z_n (n <= limit).
+
+    Returns (checked, violations): the number of orbits of order at least
+    report.rho, and how many of them have more than report.bound elements.
+    """
+    checked = violations = 0
+    for rep, rho in _basis_orders(report.n, None, limit, 1):
+        if rho >= report.rho:
+            checked += 1
+            violations += len(rep) > report.bound
+    return checked, violations
 
 
 # -- threshold-exceeder search (cardinality-capped conjecture runs) -----------
@@ -352,7 +297,7 @@ def _exceeder_tasks(n: int) -> list[tuple[int, int | None]]:
 
 
 def _search_exceeders(
-    n: int, k: int, cap: int, tasks: list[tuple[int, int | None]]
+    n: int, k: int, cap: int, tasks: Iterable[tuple[int, int | None]]
 ) -> dict[int, int]:
     """Run the pruned search over the given root tasks.
 
@@ -427,11 +372,9 @@ def verify_conjecture(
     if n == 1:
         found[1] = 1  # {0} is a basis of order 1 > 1/k
     elif max_card is None:
-        for shard in range(shards):
-            for rep in enumerate_bases(n, None, limit, shard=shard, shards=shards):
-                rho = _basis_order(rep)
-                if rho * k > n:
-                    found[rep.mask] = rho
+        for rep, rho in _basis_orders(n, None, limit, shards):
+            if rho * k > n:
+                found[rep.mask] = rho
     else:
         if not 1 <= max_card <= n:
             raise ValueError(f"max_card must be in [1, {n}], got {max_card}")
@@ -440,13 +383,9 @@ def verify_conjecture(
         if use_kl_cap and 2 <= threshold <= n - 1:
             kl_cap = kl_bound(n, threshold).bound
             cap = min(cap, max(kl_cap, 2))
-        tasks = _exceeder_tasks(n)
-        partials = [
-            _search_exceeders(n, k, cap, tasks[shard::shards])
-            for shard in range(shards)
-        ]
-        for part in partials:
-            found.update(part)
+        # the key g*n + y tells the root tasks (g, y) apart
+        tasks = _by_shard(_exceeder_tasks(n), shards, lambda t: t[0] * n + (t[1] or 0))
+        found = _search_exceeders(n, k, cap, tasks)
 
     exceeders = []
     for mask in sorted(found, key=lambda m: canonical_sort_key(ZnSet(n, m))):

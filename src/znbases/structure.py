@@ -13,11 +13,11 @@ raised.  The theorem constants (doubling threshold 2.04, density threshold
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .core import ZnSet, divisors, format_fraction
-from .sumsets import add_sets, h_fold, order
+from .core import Record, ZnSet, divisors, with_modulus
+from .sumsets import add_sets, order
 
 DOUBLING_SIGMA = Fraction(204, 100)
 DENSITY_THRESHOLD = Fraction(1, 10**9)
@@ -111,7 +111,7 @@ def ap_cover(s: ZnSet, coprime_only: bool = False) -> tuple[int, int, int]:
 
 
 @dataclass(frozen=True)
-class StructureReport:
+class StructureReport(Record):
     """Coset statistics of A relative to the size-m subgroup H of Z_n.
 
     inequality_holds records (l - 1)*m <= |2A| - |A|, with l replaced by
@@ -128,28 +128,9 @@ class StructureReport:
     case: str
     inequality_holds: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "q": self.q,
-            "cosets_met": self.cosets_met,
-            "max_coset_fraction": format_fraction(self.max_coset_fraction),
-            "ap_start": self.ap_start,
-            "ap_diff": self.ap_diff,
-            "ap_len": self.ap_len,
-            "case": self.case,
-            "inequality_holds": self.inequality_holds,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> StructureReport:
-        d = dict(d)
-        d["max_coset_fraction"] = Fraction(d["max_coset_fraction"])
-        return cls(**d)
-
 
 @dataclass(frozen=True)
-class DfAnalysis:
+class DfAnalysis(Record):
     """Small-doubling structure scan of A over every proper subgroup of Z_n.
 
     The hypothesis flags record whether the doubling ratio is below sigma and
@@ -158,7 +139,7 @@ class DfAnalysis:
     l*m (smallest m on ties), or None when no divisor qualifies.
     """
 
-    input_set: ZnSet
+    input_set: ZnSet = with_modulus("set")
     sigma: Fraction
     set_size: int
     double_size: int
@@ -167,34 +148,6 @@ class DfAnalysis:
     density_hypothesis_ok: bool
     reports: tuple[StructureReport, ...]
     best: StructureReport | None
-
-    def to_dict(self) -> dict:
-        return {
-            "modulus": self.input_set.modulus,
-            "set": self.input_set.to_text(),
-            "sigma": format_fraction(self.sigma),
-            "set_size": self.set_size,
-            "double_size": self.double_size,
-            "doubling_ratio": format_fraction(self.doubling_ratio),
-            "doubling_hypothesis_ok": self.doubling_hypothesis_ok,
-            "density_hypothesis_ok": self.density_hypothesis_ok,
-            "reports": [r.to_dict() for r in self.reports],
-            "best": None if self.best is None else self.best.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> DfAnalysis:
-        return cls(
-            input_set=ZnSet.from_text(d["modulus"], d["set"]),
-            sigma=Fraction(d["sigma"]),
-            set_size=d["set_size"],
-            double_size=d["double_size"],
-            doubling_ratio=Fraction(d["doubling_ratio"]),
-            doubling_hypothesis_ok=d["doubling_hypothesis_ok"],
-            density_hypothesis_ok=d["density_hypothesis_ok"],
-            reports=tuple(StructureReport.from_dict(r) for r in d["reports"]),
-            best=None if d["best"] is None else StructureReport.from_dict(d["best"]),
-        )
 
 
 def _structure_report(a: ZnSet, m: int, excess: int, coprime_only: bool) -> StructureReport:
@@ -269,23 +222,31 @@ def doubling_search(a: ZnSet, sigma: Fraction = DOUBLING_SIGMA, j_max: int | Non
     """
     if 0 not in a:
         raise ValueError("doubling search expects a 0-translated set")
+    if j_max is not None and j_max < 0:
+        raise ValueError(f"j_max must be >= 0, got {j_max}")
+    return _doublings(a, sigma, j_max)[0]
+
+
+def _doublings(
+    a: ZnSet, sigma: Fraction, j_max: int | None
+) -> tuple[int | None, ZnSet, list[int]]:
+    """The doubling loop of `doubling_search`: (j, 2^j A, sizes), where sizes
+    are |A|, |2A|, |4A|, ... up to the step that stopped the search."""
     if j_max is None:
         j_max = a.modulus.bit_length() + 1
-    if j_max < 0:
-        raise ValueError(f"j_max must be >= 0, got {j_max}")
     cur = a
-    cur_size = len(a)
+    sizes = [len(a)]
     for j in range(j_max + 1):
         nxt = add_sets(cur, cur)
-        nxt_size = len(nxt)
-        if nxt_size < sigma * cur_size:
-            return j
-        cur, cur_size = nxt, nxt_size
-    return None
+        sizes.append(len(nxt))
+        if sizes[-1] < sigma * sizes[-2]:
+            return j, cur, sizes
+        cur = nxt
+    return None, cur, sizes
 
 
 @dataclass(frozen=True)
-class ProjectionBounds:
+class ProjectionBounds(Record):
     """Order of the projection vs order of the set, for one divisor q of n.
 
     The lower bound (projection order <= order) always holds; the upper
@@ -300,20 +261,6 @@ class ProjectionBounds:
     actual: int | None
     upper_candidate: int | None
     upper_holds: bool | None
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "q": self.q,
-            "lower": self.lower,
-            "actual": self.actual,
-            "upper_candidate": self.upper_candidate,
-            "upper_holds": self.upper_holds,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> ProjectionBounds:
-        return cls(**d)
 
 
 def projection_order_bounds(a: ZnSet, q: int) -> ProjectionBounds:
@@ -335,8 +282,8 @@ def projection_order_bounds(a: ZnSet, q: int) -> ProjectionBounds:
     )
 
 
-@dataclass(frozen=True)
-class PipelineTrace:
+@dataclass(frozen=True, kw_only=True)
+class PipelineTrace(Record):
     """Every intermediate quantity of the large-order structure argument, run
     end to end on a concrete basis: doubling search, structure scan of the
     doubled set, coset counts, branch selection, and the evaluated slack of
@@ -344,104 +291,33 @@ class PipelineTrace:
     measured exactly.
     """
 
-    input_set: ZnSet
+    input_set: ZnSet = with_modulus("set")
     k: int
     sigma: Fraction
     rho: int | None
     exceeds_n_over_k: bool
-    j: int | None
-    h: int | None
+    j: int | None = None
+    h: int | None = None
     doubling_sizes: tuple[int, ...]
-    b: ZnSet | None
-    m: int | None
-    q: int | None
-    s: int | None
-    s_prime: int | None
-    ap_len: int | None
-    branch: str
-    rho_q_proj_a: int | None
-    rho_q_proj_b: int | None
+    b: ZnSet | None = None
+    m: int | None = None
+    q: int | None = None
+    s: int | None = None
+    s_prime: int | None = None
+    ap_len: int | None = None
+    branch: str = BRANCH_UNAVAILABLE
+    rho_q_proj_a: int | None = None
+    rho_q_proj_b: int | None = None
     # measured inequality data, None where not evaluable
-    subgroup_bound_slack: Fraction | None      # (3/2)|B| - m, from the 2/3-coset relation
-    two_thirds_holds: bool | None
-    proj_lower_slack: int | None               # rho_n(A) - rho_q(pi(A)) >= 0
-    proj_upper_slack: int | None               # rho_q(pi(A)) + m - rho_n(A), may be negative
-    h_scaling_value: int | None                # |rho_n(A) - h * rho_q(pi(B))|
-    multiple_gap: Fraction | None              # min over multiples q' of h of |rho_q(pi(B)) - n/q'|
-    multiple_gap_argmin: int | None
-    ap_gap: Fraction | None                    # |rho_q(pi(B)) - n/(l-1)|, needs l >= 2
-    ap_reduction_ok: bool | None               # 2s - 3 >= l - 1
-
-    def to_dict(self) -> dict:
-        return {
-            "modulus": self.input_set.modulus,
-            "set": self.input_set.to_text(),
-            "k": self.k,
-            "sigma": format_fraction(self.sigma),
-            "rho": self.rho,
-            "exceeds_n_over_k": self.exceeds_n_over_k,
-            "j": self.j,
-            "h": self.h,
-            "doubling_sizes": list(self.doubling_sizes),
-            "b": None if self.b is None else self.b.to_text(),
-            "m": self.m,
-            "q": self.q,
-            "s": self.s,
-            "s_prime": self.s_prime,
-            "ap_len": self.ap_len,
-            "branch": self.branch,
-            "rho_q_proj_a": self.rho_q_proj_a,
-            "rho_q_proj_b": self.rho_q_proj_b,
-            "subgroup_bound_slack": _opt_frac(self.subgroup_bound_slack),
-            "two_thirds_holds": self.two_thirds_holds,
-            "proj_lower_slack": self.proj_lower_slack,
-            "proj_upper_slack": self.proj_upper_slack,
-            "h_scaling_value": self.h_scaling_value,
-            "multiple_gap": _opt_frac(self.multiple_gap),
-            "multiple_gap_argmin": self.multiple_gap_argmin,
-            "ap_gap": _opt_frac(self.ap_gap),
-            "ap_reduction_ok": self.ap_reduction_ok,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> PipelineTrace:
-        n = d["modulus"]
-        return cls(
-            input_set=ZnSet.from_text(n, d["set"]),
-            k=d["k"],
-            sigma=Fraction(d["sigma"]),
-            rho=d["rho"],
-            exceeds_n_over_k=d["exceeds_n_over_k"],
-            j=d["j"],
-            h=d["h"],
-            doubling_sizes=tuple(d["doubling_sizes"]),
-            b=None if d["b"] is None else ZnSet.from_text(n, d["b"]),
-            m=d["m"],
-            q=d["q"],
-            s=d["s"],
-            s_prime=d["s_prime"],
-            ap_len=d["ap_len"],
-            branch=d["branch"],
-            rho_q_proj_a=d["rho_q_proj_a"],
-            rho_q_proj_b=d["rho_q_proj_b"],
-            subgroup_bound_slack=_opt_unfrac(d["subgroup_bound_slack"]),
-            two_thirds_holds=d["two_thirds_holds"],
-            proj_lower_slack=d["proj_lower_slack"],
-            proj_upper_slack=d["proj_upper_slack"],
-            h_scaling_value=d["h_scaling_value"],
-            multiple_gap=_opt_unfrac(d["multiple_gap"]),
-            multiple_gap_argmin=d["multiple_gap_argmin"],
-            ap_gap=_opt_unfrac(d["ap_gap"]),
-            ap_reduction_ok=d["ap_reduction_ok"],
-        )
-
-
-def _opt_frac(f: Fraction | None) -> str | None:
-    return None if f is None else format_fraction(f)
-
-
-def _opt_unfrac(s: str | None) -> Fraction | None:
-    return None if s is None else Fraction(s)
+    subgroup_bound_slack: Fraction | None = None  # (3/2)|B| - m, from the 2/3-coset relation
+    two_thirds_holds: bool | None = None
+    proj_lower_slack: int | None = None     # rho_n(A) - rho_q(pi(A)) >= 0
+    proj_upper_slack: int | None = None     # rho_q(pi(A)) + m - rho_n(A), may be negative
+    h_scaling_value: int | None = None      # |rho_n(A) - h * rho_q(pi(B))|
+    multiple_gap: Fraction | None = None    # min over multiples q' of h of |rho_q(pi(B)) - n/q'|
+    multiple_gap_argmin: int | None = None
+    ap_gap: Fraction | None = None          # |rho_q(pi(B)) - n/(l-1)|, needs l >= 2
+    ap_reduction_ok: bool | None = None     # 2s - 3 >= l - 1
 
 
 def pipeline_trace(
@@ -465,50 +341,21 @@ def pipeline_trace(
     n = a.modulus
     base = a.rotate(-(a.mask & -a.mask).bit_length() + 1)
     rho = order(base)
-    exceeds = rho is not None and rho * k > n
-
-    if j_max is None:
-        j_max = n.bit_length() + 1
-    # Doubling sizes |2^j A| for j = 0.. until the ratio drops below sigma.
-    sizes = [len(base)]
-    j: int | None = None
-    cur = base
-    for jj in range(j_max + 1):
-        nxt = add_sets(cur, cur)
-        sizes.append(len(nxt))
-        if len(nxt) < sigma * len(cur):
-            j = jj
-            break
-        cur = nxt
-
+    j, b, sizes = _doublings(base, sigma, j_max)
+    trace = PipelineTrace(
+        input_set=base, k=k, sigma=sigma, rho=rho,
+        exceeds_n_over_k=rho is not None and rho * k > n, doubling_sizes=tuple(sizes),
+    )
     if j is None:
-        return PipelineTrace(
-            input_set=base, k=k, sigma=sigma, rho=rho, exceeds_n_over_k=exceeds,
-            j=None, h=None, doubling_sizes=tuple(sizes), b=None, m=None, q=None,
-            s=None, s_prime=None, ap_len=None, branch=BRANCH_UNAVAILABLE,
-            rho_q_proj_a=None, rho_q_proj_b=None, subgroup_bound_slack=None,
-            two_thirds_holds=None, proj_lower_slack=None, proj_upper_slack=None,
-            h_scaling_value=None, multiple_gap=None, multiple_gap_argmin=None,
-            ap_gap=None, ap_reduction_ok=None,
-        )
-
+        return trace
     h = 1 << j
-    b = h_fold(base, h)
+    trace = replace(trace, j=j, h=h, b=b)
     analysis = df_analyze(b, sigma=sigma, coprime_only=coprime_only)
     chosen = analysis.best
     if chosen is None and analysis.reports:
         chosen = min(analysis.reports, key=lambda r: (r.ap_len * r.m, r.m))
     if chosen is None:
-        # n = 1 has no proper subgroup; emit the doubling data only.
-        return PipelineTrace(
-            input_set=base, k=k, sigma=sigma, rho=rho, exceeds_n_over_k=exceeds,
-            j=j, h=h, doubling_sizes=tuple(sizes), b=b, m=None, q=None,
-            s=None, s_prime=None, ap_len=None, branch=BRANCH_UNAVAILABLE,
-            rho_q_proj_a=None, rho_q_proj_b=None, subgroup_bound_slack=None,
-            two_thirds_holds=None, proj_lower_slack=None, proj_upper_slack=None,
-            h_scaling_value=None, multiple_gap=None, multiple_gap_argmin=None,
-            ap_gap=None, ap_reduction_ok=None,
-        )
+        return trace  # n = 1 has no proper subgroup: the doubling data only
 
     m, q = chosen.m, chosen.q
     s = chosen.cosets_met
@@ -538,16 +385,8 @@ def pipeline_trace(
     if rho_pb is not None and l >= 2:
         ap_gap = abs(rho_pb - Fraction(n, l - 1))
 
-    return PipelineTrace(
-        input_set=base,
-        k=k,
-        sigma=sigma,
-        rho=rho,
-        exceeds_n_over_k=exceeds,
-        j=j,
-        h=h,
-        doubling_sizes=tuple(sizes),
-        b=b,
+    return replace(
+        trace,
         m=m,
         q=q,
         s=s,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ZnSet
+from .core import Record, ZnSet, with_modulus
 
 
 def add_sets(x: ZnSet, y: ZnSet) -> ZnSet:
@@ -78,7 +78,7 @@ def order(a: ZnSet) -> int | None:
 
 
 @dataclass(frozen=True)
-class SumsetTrajectory:
+class SumsetTrajectory(Record):
     """The level-by-level record of hA up to full cover or stabilization.
 
     ``levels[h-1]`` is hA of the 0-translated base; ``order`` is the least h
@@ -86,32 +86,11 @@ class SumsetTrajectory:
     ``stabilized`` (in which case the final two recorded levels are equal).
     """
 
-    base: ZnSet
+    base: ZnSet = with_modulus("base")
     levels: tuple[ZnSet, ...]
     sizes: tuple[int, ...]
     order: int | None
     stabilized: ZnSet | None
-
-    def to_dict(self) -> dict:
-        return {
-            "modulus": self.base.modulus,
-            "base": self.base.to_text(),
-            "sizes": list(self.sizes),
-            "levels": [lv.to_text() for lv in self.levels],
-            "order": self.order,
-            "stabilized": None if self.stabilized is None else self.stabilized.to_text(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> SumsetTrajectory:
-        n = d["modulus"]
-        return cls(
-            base=ZnSet.from_text(n, d["base"]),
-            levels=tuple(ZnSet.from_text(n, t) for t in d["levels"]),
-            sizes=tuple(d["sizes"]),
-            order=d["order"],
-            stabilized=None if d["stabilized"] is None else ZnSet.from_text(n, d["stabilized"]),
-        )
 
 
 def trajectory(a: ZnSet) -> SumsetTrajectory:

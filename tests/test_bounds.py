@@ -13,7 +13,7 @@ from znbases import (
     sandwich_bounds,
     witness_order_bound,
 )
-from znbases.bounds import FamilyRecord, int_sumset_sizes
+from znbases.bounds import int_sumset_sizes
 from znbases.core import IntSet
 
 from oracles import naive_order
@@ -176,8 +176,3 @@ def test_family_orders_match_naive_oracle():
     for k in (3, 4):
         for rec in lower_bound_family(k, (5 * k + 1, 60)):
             assert rec.rho == naive_order(rec.n, {0, 1, k}), rec
-
-
-def test_family_record_round_trip():
-    rec = lower_bound_family(5, (29, 29))[0]
-    assert FamilyRecord.from_dict(rec.to_dict()) == rec

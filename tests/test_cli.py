@@ -3,7 +3,6 @@ import json
 from click.testing import CliRunner
 
 from znbases.cli import main
-from znbases.spectrum import ConjectureReport, SpectrumReport
 
 
 def run(*args):
@@ -59,24 +58,10 @@ def test_spectrum_csv_matches_spec_example():
     assert lines[gap_at + 1] == "7,4,5"
 
 
-def test_spectrum_json_round_trip():
-    res = run("spectrum", "--n", "9", "--format", "json")
-    report = SpectrumReport.from_dict(json.loads(res.output))
-    assert report.n == 9
-    assert json.loads(res.output) == report.to_dict()
-
-
 def test_spectrum_shard_determinism():
     one = run("spectrum", "--n", "13", "--shards", "1", "--format", "csv").output
     eight = run("spectrum", "--n", "13", "--shards", "8", "--format", "csv").output
     assert one == eight
-
-
-def test_conjecture_single_json_round_trip():
-    res = run("conjecture", "--k", "2", "--n", "12", "--format", "json")
-    report = ConjectureReport.from_dict(json.loads(res.output))
-    assert report.to_dict() == json.loads(res.output)
-    assert report.n == 12 and report.k == 2
 
 
 def test_conjecture_range_csv():

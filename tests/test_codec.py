@@ -1,0 +1,101 @@
+"""Round trip of every report type through the one JSON codec (core.Record).
+
+Each case builds a report, or takes the JSON payload a CLI command prints;
+the report must survive to_dict -> JSON text -> from_dict unchanged, and a
+CLI payload must decode to a report that encodes back to the same payload.
+"""
+
+import json
+
+import pytest
+from click.testing import CliRunner
+
+from znbases import (
+    df_analyze,
+    fl_growth_check,
+    kl_bound,
+    lower_bound_family,
+    pigeonhole_witness,
+    pipeline_trace,
+    projection_order_bounds,
+    rep_decompose,
+    sandwich_bounds,
+    spectrum,
+    trajectory,
+    verify_conjecture,
+    witness_order_bound,
+)
+from znbases.bounds import (
+    FamilyRecord,
+    FlGrowthReport,
+    KlBoundBreakdown,
+    PigeonholeWitness,
+    RepDecomposition,
+    SandwichBounds,
+    WitnessOrderBound,
+)
+from znbases.cli import main
+from znbases.core import IntSet, ZnSet
+from znbases.spectrum import ConjectureReport, Exceeder, SpectrumReport
+from znbases.structure import DfAnalysis, PipelineTrace, ProjectionBounds, StructureReport
+from znbases.sumsets import SumsetTrajectory
+
+SMALL_DOUBLING = ZnSet.from_text(20, "0,4,8,12,16,1")
+
+
+def cli_json(*args):
+    return lambda: json.loads(CliRunner().invoke(main, [*args, "--format", "json"]).stdout)
+
+
+CASES = [
+    (SpectrumReport, lambda: spectrum(9), "spectrum-9"),
+    (SpectrumReport, cli_json("spectrum", "--n", "9"), "spectrum-cli-9"),
+    (ConjectureReport, lambda: verify_conjecture(20, 3, max_card=5), "conjecture-20-capped"),
+    (ConjectureReport, cli_json("conjecture", "--k", "2", "--n", "12"), "conjecture-cli-12"),
+    (KlBoundBreakdown, lambda: kl_bound(12, 5), "kl-bound"),
+    (FlGrowthReport, lambda: fl_growth_check(IntSet((0, 1, 3)), 5), "fl-growth"),
+    (SandwichBounds, lambda: sandwich_bounds(20, 2, 19), "sandwich"),
+    (PigeonholeWitness, lambda: pigeonhole_witness(100, 4, 34), "pigeonhole"),
+    (WitnessOrderBound, lambda: witness_order_bound(pigeonhole_witness(100, 4, 34)),
+     "witness-bound"),
+    (WitnessOrderBound, lambda: witness_order_bound(pigeonhole_witness(10, 3, 5)),
+     "witness-bound-inf"),
+    (RepDecomposition, lambda: rep_decompose(100, 4, 34, 3), "rep-decomposition"),
+    (FamilyRecord, lambda: lower_bound_family(5, (29, 29))[0], "family"),
+    (StructureReport, lambda: df_analyze(SMALL_DOUBLING).reports[1], "structure"),
+    (DfAnalysis, lambda: df_analyze(SMALL_DOUBLING), "df-analysis"),
+    (ProjectionBounds, lambda: projection_order_bounds(SMALL_DOUBLING, 5), "projection"),
+    (ProjectionBounds, lambda: projection_order_bounds(ZnSet.from_text(6, "0,2"), 3),
+     "projection-non-basis"),
+    (PipelineTrace, lambda: pipeline_trace(SMALL_DOUBLING, 3), "pipeline-20"),
+    (PipelineTrace, lambda: pipeline_trace(ZnSet.from_text(10, "0,1"), 2), "pipeline-10"),
+    (PipelineTrace, lambda: pipeline_trace(ZnSet.from_text(6, "0,2"), 2), "pipeline-6"),
+    (PipelineTrace, lambda: pipeline_trace(ZnSet.from_text(1, "0"), 2), "pipeline-unavailable"),
+    (SumsetTrajectory, lambda: trajectory(ZnSet.from_text(9, "0,1,3")), "trajectory"),
+    (SumsetTrajectory, lambda: trajectory(ZnSet.from_text(6, "0,2")), "trajectory-stabilized"),
+]
+
+
+def test_cases_cover_every_report_type():
+    assert len({cls for cls, _, _ in CASES}) == 14
+
+
+@pytest.mark.parametrize("cls, make", [pytest.param(c, m, id=i) for c, m, i in CASES])
+def test_report_round_trip(cls, make):
+    made = make()
+    if isinstance(made, dict):  # a CLI payload
+        report = cls.from_dict(made)
+        assert report.to_dict() == made
+    else:
+        report = made
+    assert type(report) is cls
+    d = report.to_dict()
+    assert cls.from_dict(d) == report
+    assert cls.from_dict(json.loads(json.dumps(d))) == report
+
+
+def test_nested_set_without_modulus_is_refused():
+    exceeder = verify_conjecture(20, 3, max_card=5).exceeders[0]
+    with pytest.raises(ValueError, match="no enclosing n or modulus"):
+        Exceeder.from_dict(exceeder.to_dict())
+

@@ -12,10 +12,9 @@ from znbases.core import (
     ZnSet,
     canonical_less,
     canonical_sort_key,
+    encode,
     format_fraction,
     format_order,
-    parse_fraction,
-    parse_order,
 )
 
 from oracles import all_subsets
@@ -111,16 +110,19 @@ def test_intset_normalization_errors():
 
 
 def test_order_and_fraction_tokens_round_trip():
-    assert format_order(None) == "inf" and parse_order("inf") is None
-    assert format_order(7) == "7" and parse_order("7") == 7
+    assert format_order(None) == "inf" and encode(None) is None
+    assert format_order(7) == "7" and encode(7) == 7
     assert format_fraction(Fraction(22, 4)) == "11/2"
     assert format_fraction(Fraction(8, 4)) == "2"
-    assert parse_fraction("11/2") == Fraction(11, 2)
+    assert encode(Fraction(22, 4)) == "11/2" and Fraction("11/2") == Fraction(11, 2)
+    assert encode(ZnSet.from_members(9, [0, 1, 3])) == "0,1,3"
+    assert encode({"gaps": ((4, 5),), "ok": True}) == {"gaps": [[4, 5]], "ok": True}
 
 
 @given(st.fractions(max_denominator=10**6))
 def test_fraction_format_round_trip(f):
-    assert parse_fraction(format_fraction(f)) == f
+    assert Fraction(format_fraction(f)) == f
+    assert Fraction(encode(f)) == f
 
 
 def test_canonical_sort_key_agrees_with_canonical_less():

@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,6 @@ import pytest
 from znbases import enumerate_bases, order, spectrum, verify_conjecture
 from znbases.bounds import kl_bound
 from znbases.core import ZnSet, is_basis
-from znbases.spectrum import ConjectureReport, SpectrumReport
 
 from oracles import all_subsets, burnside_basis_orbits, naive_order, naive_spectrum
 
@@ -187,14 +187,27 @@ def test_conjecture_n1_edge():
     assert r.max_min_gap == 0
 
 
-def test_report_round_trips():
-    s = spectrum(9)
-    assert SpectrumReport.from_dict(s.to_dict()) == s
-    c = verify_conjecture(20, 3, max_card=5)
-    assert ConjectureReport.from_dict(c.to_dict()) == c
-
-
 def test_order_equals_naive_for_enumerated_reps():
     for n in range(2, 12):
         for rep in enumerate_bases(n):
             assert order(rep) == naive_order(n, rep.members)
+
+
+def test_sharded_spectrum_enumerates_once(monkeypatch):
+    # the package attribute `spectrum` is the function, not the module
+    spectrum_module = importlib.import_module("znbases.spectrum")
+    calls = []
+
+    def counting_is_basis(a):
+        calls.append(a.mask)
+        return is_basis(a)
+
+    monkeypatch.setattr(spectrum_module, "is_basis", counting_is_basis)
+    counts = {}
+    for shards in (1, 8):
+        calls.clear()
+        report = spectrum(12, shards=shards)
+        counts[shards] = len(calls)
+    assert counts[1] > 0 and counts[8] == counts[1]
+    assert report == spectrum(12)
+

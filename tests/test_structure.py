@@ -18,8 +18,6 @@ from znbases.structure import (
     CASE_GENERIC,
     CASE_SINGLE_COSET,
     CASE_THREE_COSETS,
-    DfAnalysis,
-    PipelineTrace,
 )
 from znbases.sumsets import add_sets, order
 
@@ -262,14 +260,3 @@ def test_pipeline_trace_basis_b_is_basis():
         t = pipeline_trace(a, 3)
         if t.rho is not None and t.b is not None:
             assert order(t.b) is not None  # doubling preserves generation
-
-
-def test_pipeline_trace_round_trip():
-    for text, n, k in [("0,4,8,12,16,1", 20, 3), ("0,1", 10, 2), ("0,2", 6, 2)]:
-        t = pipeline_trace(ZnSet.from_text(n, text), k)
-        assert PipelineTrace.from_dict(t.to_dict()) == t
-
-
-def test_df_analysis_round_trip():
-    an = df_analyze(ZnSet.from_text(20, "0,4,8,12,16,1"))
-    assert DfAnalysis.from_dict(an.to_dict()) == an

@@ -107,3 +107,24 @@ def test_trajectory_consistent_with_order_everywhere_small():
         for mask in range(1, 1 << n):
             a = ZnSet(n, mask)
             assert trajectory(a).order == order(a)
+
+
+@st.composite
+def word_boundary_sets(draw):
+    """A sparse subset of Z_n, n at a 64-bit word boundary, shifted so that
+    members sit on both sides of the wraparound."""
+    n = draw(st.sampled_from((63, 64, 65, 127, 128)))
+    members = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6))
+    shift = draw(st.sampled_from((0, 1, n - 1, n - 2, 63 % n, 64 % n, n // 2)))
+    return ZnSet.from_members(n, {(m + shift) % n for m in members})
+
+
+@settings(max_examples=120, deadline=None)
+@given(word_boundary_sets(), st.data())
+def test_kernel_matches_oracles_at_word_boundaries(a, data):
+    n = a.modulus
+    y = ZnSet.from_members(n, data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=6)))
+    assert set(add_sets(a, y)) == {(u + v) % n for u in a for v in y}
+    assert set(add_sets(a, a)) == naive_h_fold(n, a.members, 2)
+    assert order(a) == naive_order(n, a.members)
+
