@@ -1,10 +1,15 @@
 """Golden CLI gate: every run in golden.json must reproduce its exit code and
 stdout byte for byte.
 
-golden.json holds the argv, exit code and stdout of 186 runs captured before
-the report codec and the CLI renderer were rewritten: ``--version``, every
-``--help``, all 11 commands in table, json and csv, shard counts 1, 2, 3
-and 5, and a few usage errors (exit 2, empty stdout).  A legitimate output
+golden.json holds the argv, exit code and stdout of 205 runs.  Captured
+before the report codec and the CLI renderer were rewritten: ``--version``,
+every ``--help``, all 11 commands in table, json and csv, shard counts 1, 2,
+3 and 5, and a few usage errors (exit 2, empty stdout).  Captured before the
+structure scan and the pruned exceeder search were rewritten: ``df-analyze``
+(plain and ``--coprime-diff``) and ``pipeline --k 3`` on two coset unions in
+Z_360 in all three formats, and the capped conjecture sweep over n = 60..70
+in json.  The first coset union lies in 3Z, so its covering progressions
+come from the gcd(d, q) > 1 branch of ``ap_cover``.  A legitimate output
 change must be made in golden.json in the same change, run by run.
 """
 
