@@ -185,7 +185,7 @@ def pigeonhole_witness(n: int, k: int, t: int) -> PigeonholeWitness:
         r = nlr(c * t, n)
         if abs(r) * k <= n:
             return PigeonholeWitness(n=n, k=k, t=t, c=c, r=r, s=abs(r))
-    raise AssertionError(
+    raise RuntimeError(
         f"pigeonhole witness scan failed for n={n}, k={k}, t={t}; "
         "this contradicts the pigeonhole principle and indicates a bug"
     )

@@ -10,6 +10,7 @@ collections are sorted before emission).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
@@ -271,7 +272,9 @@ def check_kl_bound(
 # Adding an element to a set never increases its order (the h-fold sumsets
 # only grow), so a subset whose order is finite and <= n/k cannot extend to
 # a basis of order > n/k: its whole supertree is pruned.  Subsets of order
-# infinity must still be expanded.
+# infinity must still be expanded.  Every searched set holds 0, so it has
+# finite order exactly when the gcd of n and its members is 1; the search
+# carries that gcd down the tree and calls order() only when it is 1.
 #
 # Affine reduction roots the search at one pair per divisor: every pair
 # {x, y} maps to {0, g} with g = gcd(y - x, n) under an affine map, so every
@@ -309,9 +312,12 @@ def _search_exceeders(
     def record(a: ZnSet, rho: int) -> None:
         found[canonical_form(a).mask] = rho
 
-    def visit(a: ZnSet, last_added: int) -> None:
-        rho = order(a)
-        if rho is not None:
+    def visit(a: ZnSet, last_added: int, span: int) -> None:
+        # span = gcd(n, members); a set holding 0 is a basis iff span == 1
+        if span == 1:
+            rho = order(a)
+            if rho is None:
+                raise RuntimeError(f"{a!r} generates Z_{n} but has infinite order")
             if rho * k > n:
                 record(a, rho)
             else:
@@ -320,16 +326,16 @@ def _search_exceeders(
             return
         for z in range(last_added + 1, n):
             if z not in a:
-                visit(a.insert(z), z)
+                visit(a.insert(z), z, math.gcd(span, z))
 
     for g, y in tasks:
         pair = ZnSet.from_members(n, {0, g})
         if y is None:
-            rho = order(pair)
+            rho = order(pair) if g == 1 else None
             if rho is not None and rho * k > n:
                 record(pair, rho)
         elif cap >= 3:
-            visit(pair.insert(y), y)
+            visit(pair.insert(y), y, math.gcd(g, y))
     return found
 
 

@@ -13,8 +13,11 @@ raised.  The theorem constants (doubling threshold 2.04, density threshold
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import sub
+from typing import Iterable
 
 from .core import Record, ZnSet, divisors, with_modulus
 from .sumsets import add_sets, order
@@ -28,6 +31,17 @@ CASE_SINGLE_COSET = "single_coset"
 BRANCH_UNAVAILABLE = "unavailable"
 
 
+def _residue_counts(members: Iterable[int], q: int) -> Counter[int]:
+    """How many of the members fall in each residue class mod q."""
+    return Counter(x % q for x in members)
+
+
+def _occupancy(counts: Counter[int], m: int) -> tuple[int, Fraction]:
+    """(cosets met, max occupied fraction) of the size-m subgroup, from the
+    residue counts mod n/m."""
+    return len(counts), Fraction(max(counts.values()), m)
+
+
 def project(a: ZnSet, q: int) -> ZnSet:
     """Image of A under the projection Z_n -> Z_q, q | n (reduction mod q)."""
     n = a.modulus
@@ -35,10 +49,7 @@ def project(a: ZnSet, q: int) -> ZnSet:
         raise ValueError(f"q must divide the modulus {n}, got {q}")
     if q == n:
         return a
-    mask = 0
-    for m in a:
-        mask |= 1 << (m % q)
-    return ZnSet(q, mask)
+    return ZnSet.from_members(q, _residue_counts(a, q))
 
 
 def coset_profile(a: ZnSet, m: int) -> tuple[int, Fraction]:
@@ -46,22 +57,24 @@ def coset_profile(a: ZnSet, m: int) -> tuple[int, Fraction]:
     n = a.modulus
     if m < 1 or n % m != 0:
         raise ValueError(f"m must divide the modulus {n}, got {m}")
-    q = n // m
-    counts: dict[int, int] = {}
-    for x in a:
-        r = x % q
-        counts[r] = counts.get(r, 0) + 1
-    if not counts:
+    if not a:
         raise ValueError("coset profile of an empty set")
-    return len(counts), Fraction(max(counts.values()), m)
+    return _occupancy(_residue_counts(a, n // m), m)
 
 
 def ap_cover(s: ZnSet, coprime_only: bool = False) -> tuple[int, int, int]:
     """Minimal arithmetic progression {start + i*d : 0 <= i < l} in Z_q covering S.
 
-    Searches every difference d in [1, q-1] (restricted to gcd(d, q) = 1 when
-    coprime_only); ties break by smallest l, then smallest d, then smallest
-    start.  Returns (start, difference, length).
+    Minimal over every difference d in [1, q-1] (restricted to gcd(d, q) = 1
+    when coprime_only); ties break by smallest l, then smallest d, then
+    smallest start.  Returns (start, difference, length).
+
+    Each d costs one sort of |S| positions, not a walk of q cells.  With
+    g = gcd(d, q), the stride-d cycle through the least member (the anchor)
+    is the anchor's class mod g, and the member anchor + o sits at position
+    (o/g) * (d/g)^-1 mod q/g on it.  Only d <= q/2 is searched: a
+    progression with difference q - d is one with difference d run
+    backwards, so q - d > d never wins the tie on length.
     """
     if not s:
         raise ValueError("AP cover of an empty set")
@@ -71,41 +84,31 @@ def ap_cover(s: ZnSet, coprime_only: bool = False) -> tuple[int, int, int]:
     card = len(s)
     elems = s.members
     anchor = elems[0]
+    offsets = [x - anchor for x in elems]
+    spread = math.gcd(q, *offsets)  # g must divide it for the cycle to hold S
     best: tuple[int, int, int] | None = None  # (l, d, start)
-    for d in range(1, q):
+    for d in range(1, q // 2 + 1):
         if best is not None and best[0] <= card:
             break  # l = |S| cannot be beaten and a smaller d already achieved it
         g = math.gcd(d, q)
         if coprime_only and g != 1:
             continue
-        if g > 1 and any((x - anchor) % g for x in elems):
+        if spread % g:
             continue  # an AP with difference d stays in one class mod g
         cycle = q // g
-        # Walk the stride-d cycle through anchor once; record member positions.
-        positions = []
-        cell = anchor
-        for i in range(cycle):
-            if cell in s:
-                positions.append(i)
-            cell = (cell + d) % q
+        inv = pow(d // g, -1, cycle)
+        positions = sorted([o // g * inv % cycle for o in offsets])
         # Minimal covering arc leaves out the largest cyclic gap; the arc
-        # starts at the position that ends that gap.
-        max_gap = positions[0] + cycle - positions[-1]
-        starts = [positions[0]]
-        for i in range(1, len(positions)):
-            gap = positions[i] - positions[i - 1]
-            if gap > max_gap:
-                max_gap = gap
-                starts = [positions[i]]
-            elif gap == max_gap:
-                starts.append(positions[i])
+        # starts at a position that ends such a gap.
+        gaps = list(map(sub, positions, [positions[-1] - cycle, *positions[:-1]]))
+        max_gap = max(gaps)
         length = cycle - max_gap + 1
-        start = min((anchor + p * d) % q for p in starts)
-        cand = (length, d, start)
-        if best is None or cand < best:
-            best = cand
+        if best is not None and length >= best[0]:
+            continue  # d only grows, so a tie on length never wins
+        start = min((anchor + p * d) % q for p, gap in zip(positions, gaps) if gap == max_gap)
+        best = (length, d, start)
     if best is None:
-        raise AssertionError("no covering progression found (d = 1 always covers)")
+        raise RuntimeError("no covering progression found (d = 1 always covers)")
     length, d, start = best
     return (start, d, length)
 
@@ -150,11 +153,13 @@ class DfAnalysis(Record):
     best: StructureReport | None
 
 
-def _structure_report(a: ZnSet, m: int, excess: int, coprime_only: bool) -> StructureReport:
-    n = a.modulus
+def _structure_report(
+    members: tuple[int, ...], n: int, m: int, excess: int, coprime_only: bool
+) -> StructureReport:
     q = n // m
-    s, frac = coset_profile(a, m)
-    start, diff, length = ap_cover(project(a, q), coprime_only=coprime_only)
+    counts = _residue_counts(members, q)
+    s, frac = _occupancy(counts, m)
+    start, diff, length = ap_cover(ZnSet.from_members(q, counts), coprime_only=coprime_only)
     if s == 1:
         case = CASE_SINGLE_COSET
     elif s == 3:
@@ -190,8 +195,9 @@ def df_analyze(
     double = add_sets(a, a)
     size, dsize = len(a), len(double)
     excess = dsize - size
+    members = a.members
     reports = tuple(
-        _structure_report(a, m, excess, coprime_only)
+        _structure_report(members, n, m, excess, coprime_only)
         for m in divisors(n)
         if m < n
     )

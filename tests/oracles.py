@@ -53,8 +53,9 @@ def all_subsets(n: int):
         yield tuple(i for i in range(n) if mask >> i & 1)
 
 
-def brute_ap_cover(q: int, members) -> tuple[int, int, int]:
-    """Minimal covering progression by trying every (length, diff, start)."""
+def brute_ap_cover(q: int, members, coprime_only: bool = False) -> tuple[int, int, int]:
+    """Minimal covering progression by trying every (length, diff, start);
+    with coprime_only, only differences coprime to q."""
     s = set(members)
     if not s:
         raise ValueError("empty set")
@@ -62,11 +63,48 @@ def brute_ap_cover(q: int, members) -> tuple[int, int, int]:
         return (0, 1, 1)
     for length in range(1, q + 1):
         for d in range(1, q):
+            if coprime_only and math.gcd(d, q) != 1:
+                continue
             for start in range(q):
                 cells = {(start + i * d) % q for i in range(length)}
                 if s <= cells:
                     return (start, d, length)
     raise AssertionError("unreachable: length q, difference 1 covers everything")
+
+
+def walk_ap_cover(q: int, members, coprime_only: bool = False) -> tuple[int, int, int]:
+    """Minimal covering progression, (start, d, length), by walking for each
+    difference d the stride-d cycle through the least member cell by cell.
+
+    The members met on the walk sit at positions 0 <= i < q/gcd(d, q); the
+    shortest covering arc leaves out the largest cyclic gap between them and
+    starts where that gap ends.  Ties break by smallest length, then
+    smallest d, then smallest start, as in brute_ap_cover.
+    """
+    s = set(members)
+    if not s:
+        raise ValueError("empty set")
+    if q == 1:
+        return (0, 1, 1)
+    anchor = min(s)
+    best = None  # (length, d, start)
+    for d in range(1, q):
+        g = math.gcd(d, q)
+        if coprime_only and g != 1:
+            continue
+        if any((x - anchor) % g for x in s):
+            continue  # the cycle through anchor is anchor's class mod g
+        cycle = q // g
+        positions = [i for i in range(cycle) if (anchor + i * d) % q in s]
+        gaps = [positions[0] + cycle - positions[-1]]
+        gaps += [b - a for a, b in zip(positions, positions[1:])]
+        max_gap = max(gaps)
+        start = min((anchor + p * d) % q for p, gap in zip(positions, gaps) if gap == max_gap)
+        cand = (cycle - max_gap + 1, d, start)
+        if best is None or cand < best:
+            best = cand
+    length, d, start = best
+    return (start, d, length)
 
 
 def sandwich_lower_bound(n: int, a: int) -> int:

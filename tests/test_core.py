@@ -137,12 +137,21 @@ def test_canonical_sort_key_agrees_with_canonical_less():
         assert sorted(sets, key=canonical_sort_key) == sorted(sets, key=cmp_to_key(cmp))
 
 
+def _raises_assertion_error(node: ast.AST) -> bool:
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_library_has_no_assert_statements():
-    # python -O strips assert, so library invariants must raise explicitly.
+    # python -O strips assert, so library invariants must raise explicitly,
+    # and with RuntimeError: AssertionError is what a failed assert raises.
     src = Path(__file__).resolve().parent.parent / "src" / "znbases"
     files = sorted(src.glob("*.py"))
     assert files
     for path in files:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
-        assert found == [], f"{path.name}: assert at lines {found}"
+        found = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Assert) or _raises_assertion_error(node)]
+        assert found == [], f"{path.name}: assert or raise AssertionError at lines {found}"

@@ -211,3 +211,21 @@ def test_sharded_spectrum_enumerates_once(monkeypatch):
     assert counts[1] > 0 and counts[8] == counts[1]
     assert report == spectrum(12)
 
+
+
+def test_capped_search_calls_order_only_on_bases(monkeypatch):
+    spectrum_module = importlib.import_module("znbases.spectrum")
+    results = []
+
+    def recording_order(a):
+        rho = order(a)
+        results.append(rho)
+        return rho
+
+    monkeypatch.setattr(spectrum_module, "order", recording_order)
+    report = verify_conjecture(60, 3, max_card=6)
+    assert report.exceeders
+    assert None not in results
+    # Before the search carried gcd(n, members) down the tree it made 8,744
+    # calls here, 3,073 of them on non-bases; the other 5,671 remain.
+    assert len(results) == 5671

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from znbases import (
     ap_cover,
@@ -21,7 +22,7 @@ from znbases.structure import (
 )
 from znbases.sumsets import add_sets, order
 
-from oracles import brute_ap_cover
+from oracles import brute_ap_cover, walk_ap_cover
 
 
 def test_project_spec_examples():
@@ -60,11 +61,41 @@ def test_ap_cover_spec_examples():
     assert ap_cover(ZnSet.from_text(1, "0")) == (0, 1, 1)
 
 
-def test_ap_cover_matches_brute_force():
+@pytest.mark.parametrize("coprime_only", [False, True])
+def test_ap_cover_matches_brute_force(coprime_only):
     for q in range(2, 13):
         for mask in range(1, 1 << q):
             s = ZnSet(q, mask)
-            assert ap_cover(s) == brute_ap_cover(q, s.members), (q, s.members)
+            expected = brute_ap_cover(q, s.members, coprime_only)
+            assert ap_cover(s, coprime_only) == expected, (q, s.members)
+
+
+@st.composite
+def coset_unions(draw):
+    """Cosets of one subgroup of Z_q, q with many divisors, plus a few stray
+    residues."""
+    q = draw(st.sampled_from((120, 180, 210, 252, 360, 420)))
+    step = draw(st.sampled_from(divisors(q)))
+    offsets = draw(st.sets(st.integers(0, step - 1), min_size=1, max_size=5))
+    strays = draw(st.sets(st.integers(0, q - 1), max_size=3))
+    cosets = {o + j for o in offsets for j in range(0, q, step)}
+    return ZnSet.from_members(q, cosets | strays)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coset_unions(), st.booleans())
+def test_ap_cover_matches_stride_walk(s, coprime_only):
+    assert ap_cover(s, coprime_only) == walk_ap_cover(s.modulus, s.members, coprime_only)
+
+
+def test_ap_cover_makes_no_membership_test(monkeypatch):
+    def refuse(self, residue):
+        pytest.fail("ap_cover tested membership cell by cell")
+
+    s = ZnSet.from_members(360, {x for x in range(0, 360, 3) if x % 60 in (0, 21, 27, 42)})
+    expected = walk_ap_cover(360, s.members)
+    monkeypatch.setattr(ZnSet, "__contains__", refuse)
+    assert ap_cover(s) == expected
 
 
 def test_ap_cover_coprime_flag_restricts_differences():
