@@ -31,15 +31,13 @@ CASE_SINGLE_COSET = "single_coset"
 BRANCH_UNAVAILABLE = "unavailable"
 
 
-def _residue_counts(members: Iterable[int], q: int) -> Counter[int]:
-    """How many of the members fall in each residue class mod q."""
-    return Counter(x % q for x in members)
-
-
-def _occupancy(counts: Counter[int], m: int) -> tuple[int, Fraction]:
-    """(cosets met, max occupied fraction) of the size-m subgroup, from the
-    residue counts mod n/m."""
-    return len(counts), Fraction(max(counts.values()), m)
+def _reduce(members: Iterable[int], n: int, m: int) -> tuple[int, Fraction, ZnSet]:
+    """Reduce the members mod q = n/m once: (cosets of the size-m subgroup
+    met, largest occupied fraction, image in Z_q)."""
+    q = n // m
+    counts = Counter(x % q for x in members)
+    frac = Fraction(max(counts.values(), default=0), m)
+    return len(counts), frac, ZnSet.from_members(q, counts)
 
 
 def project(a: ZnSet, q: int) -> ZnSet:
@@ -49,7 +47,7 @@ def project(a: ZnSet, q: int) -> ZnSet:
         raise ValueError(f"q must divide the modulus {n}, got {q}")
     if q == n:
         return a
-    return ZnSet.from_members(q, _residue_counts(a, q))
+    return _reduce(a, n, n // q)[2]
 
 
 def coset_profile(a: ZnSet, m: int) -> tuple[int, Fraction]:
@@ -59,7 +57,7 @@ def coset_profile(a: ZnSet, m: int) -> tuple[int, Fraction]:
         raise ValueError(f"m must divide the modulus {n}, got {m}")
     if not a:
         raise ValueError("coset profile of an empty set")
-    return _occupancy(_residue_counts(a, n // m), m)
+    return _reduce(a, n, m)[:2]
 
 
 def ap_cover(s: ZnSet, coprime_only: bool = False) -> tuple[int, int, int]:
@@ -81,10 +79,9 @@ def ap_cover(s: ZnSet, coprime_only: bool = False) -> tuple[int, int, int]:
     q = s.modulus
     if q == 1:
         return (0, 1, 1)
-    card = len(s)
-    elems = s.members
-    anchor = elems[0]
-    offsets = [x - anchor for x in elems]
+    anchor = next(iter(s))  # the least member
+    offsets = [x - anchor for x in s]
+    card = len(offsets)
     spread = math.gcd(q, *offsets)  # g must divide it for the cycle to hold S
     best: tuple[int, int, int] | None = None  # (l, d, start)
     for d in range(1, q // 2 + 1):
@@ -97,16 +94,19 @@ def ap_cover(s: ZnSet, coprime_only: bool = False) -> tuple[int, int, int]:
             continue  # an AP with difference d stays in one class mod g
         cycle = q // g
         inv = pow(d // g, -1, cycle)
-        positions = sorted([o // g * inv % cycle for o in offsets])
+        positions = [o // g * inv % cycle for o in offsets]
+        positions.sort()
         # Minimal covering arc leaves out the largest cyclic gap; the arc
         # starts at a position that ends such a gap.
-        gaps = list(map(sub, positions, [positions[-1] - cycle, *positions[:-1]]))
-        max_gap = max(gaps)
+        wrap = positions[0] + cycle - positions[-1]
+        max_gap = max(wrap, max(map(sub, positions[1:], positions), default=0))
         length = cycle - max_gap + 1
         if best is not None and length >= best[0]:
             continue  # d only grows, so a tie on length never wins
-        start = min((anchor + p * d) % q for p, gap in zip(positions, gaps) if gap == max_gap)
-        best = (length, d, start)
+        ends = [p for prev, p in zip(positions, positions[1:]) if p - prev == max_gap]
+        if wrap == max_gap:
+            ends.append(positions[0])
+        best = (length, d, min((anchor + p * d) % q for p in ends))
     if best is None:
         raise RuntimeError("no covering progression found (d = 1 always covers)")
     length, d, start = best
@@ -156,10 +156,8 @@ class DfAnalysis(Record):
 def _structure_report(
     members: tuple[int, ...], n: int, m: int, excess: int, coprime_only: bool
 ) -> StructureReport:
-    q = n // m
-    counts = _residue_counts(members, q)
-    s, frac = _occupancy(counts, m)
-    start, diff, length = ap_cover(ZnSet.from_members(q, counts), coprime_only=coprime_only)
+    s, frac, image = _reduce(members, n, m)
+    start, diff, length = ap_cover(image, coprime_only=coprime_only)
     if s == 1:
         case = CASE_SINGLE_COSET
     elif s == 3:
@@ -169,7 +167,7 @@ def _structure_report(
     effective_l = min(length, 4) if case == CASE_THREE_COSETS else length
     return StructureReport(
         m=m,
-        q=q,
+        q=image.modulus,
         cosets_met=s,
         max_coset_fraction=frac,
         ap_start=start,
