@@ -212,7 +212,6 @@ def test_sharded_spectrum_enumerates_once(monkeypatch):
     assert report == spectrum(12)
 
 
-
 def test_capped_search_calls_order_only_on_bases(monkeypatch):
     spectrum_module = importlib.import_module("znbases.spectrum")
     results = []
