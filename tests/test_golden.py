@@ -1,7 +1,7 @@
 """Golden CLI gate: every run in golden.json must reproduce its exit code and
 stdout byte for byte.
 
-golden.json holds the argv, exit code and stdout of 205 runs.  Captured
+golden.json holds the argv, exit code and stdout of 220 runs.  Captured
 before the report codec and the CLI renderer were rewritten: ``--version``,
 every ``--help``, all 11 commands in table, json and csv, shard counts 1, 2,
 3 and 5, and a few usage errors (exit 2, empty stdout).  Captured before the
@@ -9,8 +9,13 @@ structure scan and the pruned exceeder search were rewritten: ``df-analyze``
 (plain and ``--coprime-diff``) and ``pipeline --k 3`` on two coset unions in
 Z_360 in all three formats, and the capped conjecture sweep over n = 60..70
 in json.  The first coset union lies in 3Z, so its covering progressions
-come from the gcd(d, q) > 1 branch of ``ap_cover``.  A legitimate output
-change must be made in golden.json in the same change, run by run.
+come from the gcd(d, q) > 1 branch of ``ap_cover``.  Captured before
+``order`` computed 3-element sets from the minimum-distance diagram, in all
+three formats: ``order`` on a basis triple whose steps both share a factor
+with n, on a non-basis triple and on a triple without 0; ``sandwich --n 100
+--a 4 --b 7`` (exit 1); and ``family --k 5`` over n = 1000..1400.  A
+legitimate output change must be made in golden.json in the same change, run
+by run.
 """
 
 import json
