@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .core import Record, ZnSet, with_modulus
@@ -53,7 +54,8 @@ def order(a: ZnSet) -> int | None:
 
     Translates the set so that 0 is a member (order is affine-invariant),
     which makes the levels nested and lets stabilization short of full cover
-    be detected by equality of consecutive levels.
+    be detected by equality of consecutive levels.  A 3-element set is read
+    off its minimum-distance diagram in O(log n) steps instead.
     """
     if not a:
         raise ValueError("order of an empty set")
@@ -61,6 +63,9 @@ def order(a: ZnSet) -> int | None:
     if n == 1:
         return 1
     base = a.rotate(-(a.mask & -a.mask).bit_length() + 1)
+    if len(base) == 3:
+        _, x, y = base
+        return _triple_order(n, x, y)
     full = (1 << n) - 1
     shifts = [m for m in base if m != 0]
     cur = base.mask
@@ -75,6 +80,63 @@ def order(a: ZnSet) -> int | None:
             return None
         cur = nxt
         h += 1
+
+
+def _triple_order(n: int, a: int, b: int) -> int | None:
+    """The order of {0, a, b} in Z_n: the diameter of the digraph on Z_n with
+    steps a and b.
+
+    Give each residue x a shortest pair (i, j) with i*a + j*b = x, ties going
+    to the larger i.  These pairs tile an L-shape (Wong and Coppersmith,
+    J. ACM 1974; Fiol, Yebra, Alegre and Valero, IEEE Trans. Comput. 1987):
+    a first row of l cells and a first column of h cells, less a w-by-y
+    corner, where l*a = y*b and h*b = w*a (mod n).  Its farthest cells are
+    (l - 1, h - y - 1) and (l - w - 1, h - 1).
+    """
+    if math.gcd(a, b, n) > 1:
+        return None
+    l, y = _first_repeat(n, a, b, closed=False)
+    h, w = _first_repeat(n, b, a, closed=True)
+    if l * h - w * y != n:
+        raise RuntimeError(f"L-shape of {{0, {a}, {b}}} in Z_{n} does not have n cells")
+    return l + h - min(w, y) - 2
+
+
+def _first_repeat(n: int, a: int, b: int, closed: bool) -> tuple[int, int]:
+    """The least p >= 1 with p*a = q*b (mod n) for some q in [0, p), or in
+    [0, p] when closed, and the least such q.  Needs gcd(a, b, n) = 1.
+
+    With g = gcd(b, n), p must be a multiple g*t, and q is then c*t mod m for
+    m = n/g and c = a*(b/g)^-1 mod m.  So t is the least t >= 1 with an
+    integer in ((c - g)*t/m, c*t/m], the denominator of the simplest fraction
+    in that interval.
+    """
+    g = math.gcd(b, n)
+    m = n // g
+    c = a * pow(b // g, -1, m) % m
+    _, t = _simplest_fraction(c - g, m, closed, c, m, True)
+    return g * t, c * t % m
+
+
+def _simplest_fraction(
+    xn: int, xd: int, x_closed: bool, zn: int, zd: int, z_closed: bool
+) -> tuple[int, int]:
+    """(p, q), where p/q has the least q of all fractions between x = xn/xd
+    and z = zn/zd, each end included when flagged; zd = 0 stands for an open
+    end at infinity.  Needs xd >= 1 and x < z.
+
+    The continued-fraction (Stern-Brocot) recursion: take the least integer
+    in the interval if there is one; otherwise the interval lies in
+    [f, f + 1) for f = floor(x), and 1/(p/q - f) is the simplest fraction of
+    the inverted fractional parts.  Between positive ends, the simplest
+    fraction has the least numerator too, so its numerator is q.
+    """
+    f, r = divmod(xn, xd)
+    k = f if x_closed and not r else f + 1
+    if k * zd < zn or z_closed and k * zd == zn:
+        return k, 1
+    p, q = _simplest_fraction(zd, zn - f * zd, z_closed, xd, r, x_closed)
+    return f * p + q, p
 
 
 @dataclass(frozen=True)

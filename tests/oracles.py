@@ -27,6 +27,29 @@ def naive_order(n: int, members) -> int | None:
     return None
 
 
+def bfs_triple_order(n: int, a: int, b: int) -> int | None:
+    """Order of the 3-element set {0, a, b} in Z_n as the largest breadth-first distance from 0
+    with steps a and b, or None when some residue is never reached.
+
+    Every element of hA is i*a + j*b with i + j <= h, so the order is the
+    largest of the shortest step counts, taken over all residues.
+    """
+    dist = [-1] * n
+    dist[0] = 0
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in ((x + a) % n, (x + b) % n):
+                if dist[y] < 0:
+                    dist[y] = dist[x] + 1
+                    nxt.append(y)
+        frontier = nxt
+    if min(dist) < 0:
+        return None
+    return max(dist)
+
+
 def naive_h_fold(n: int, members, h: int) -> set[int]:
     """hA via h nested additions, no shortcuts."""
     members = set(members)

@@ -1,10 +1,12 @@
+import math
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from znbases import add_sets, h_fold, order, trajectory
 from znbases.core import ZnSet
 
-from oracles import naive_h_fold, naive_order
+from oracles import bfs_triple_order, naive_h_fold, naive_order
 
 
 def zn_subsets(min_modulus=1, max_modulus=24, nonempty=True):
@@ -107,6 +109,43 @@ def test_trajectory_consistent_with_order_everywhere_small():
         for mask in range(1, 1 << n):
             a = ZnSet(n, mask)
             assert trajectory(a).order == order(a)
+
+
+def test_triple_order_matches_level_loop_everywhere_small():
+    """order() reads 3-element sets off their L-shaped minimum-distance
+    diagram; trajectory() still iterates the levels.  Every {0, a, b} with
+    n <= 60, non-bases included."""
+    for n in range(3, 61):
+        for a in range(1, n):
+            for b in range(a + 1, n):
+                t = ZnSet(n, 1 | 1 << a | 1 << b)
+                assert order(t) == trajectory(t).order, (n, a, b)
+
+
+@st.composite
+def triples_sharing_factors(draw):
+    """(n, shift, a, b) with n up to 10^5 and steps a, b that are multiples
+    of proper divisors of n.  The divisor of b is coprime to that of a, so
+    that many draws are bases whose steps both share a factor with n."""
+    n = draw(st.integers(3, 10**5))
+    divs = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    divs = sorted({e for d in divs for e in (d, n // d) if e < n})
+    da = draw(st.sampled_from(divs))
+    db = draw(st.sampled_from([d for d in divs if math.gcd(d, da) == 1]))
+    a = da * draw(st.integers(1, n // da - 1))
+    b = db * draw(st.integers(1, n // db - 1))
+    assume(a != b)
+    return n, draw(st.integers(0, n - 1)), a, b
+
+
+@settings(max_examples=80, deadline=None)
+@given(triples_sharing_factors())
+@example((30, 0, 10, 21))
+@example((100000, 7, 1, 33334))
+def test_triple_order_matches_bfs_oracle(case):
+    n, shift, a, b = case
+    t = ZnSet.from_members(n, {shift, (shift + a) % n, (shift + b) % n})
+    assert order(t) == bfs_triple_order(n, a, b)
 
 
 @st.composite
