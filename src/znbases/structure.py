@@ -363,11 +363,12 @@ def pipeline_trace(
 
     m, q = chosen.m, chosen.q
     s = chosen.cosets_met
-    s_prime = len(project(base, q))
+    proj_a = project(base, q)
+    s_prime = len(proj_a)
     l = chosen.ap_len
     branch = CASE_THREE_COSETS if s == 3 else CASE_GENERIC
 
-    rho_pa = order(project(base, q))
+    rho_pa = order(proj_a)
     rho_pb = order(project(b, q))
 
     subgroup_slack = Fraction(3, 2) * len(b) - m
