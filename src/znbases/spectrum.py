@@ -108,8 +108,8 @@ def _capped_candidate_masks(n: int, max_card: int) -> Iterator[int]:
 _NOT_CANONICAL, _PENDING = 1, 2
 
 
-def _exhaustive_bases(n: int, shard: int, shards: int) -> Iterator[ZnSet]:
-    """Orderly generation of the canonical basis representatives of one shard.
+def _exhaustive_bases(n: int) -> Iterator[ZnSet]:
+    """Orderly generation of the canonical basis representatives.
 
     Walks the masks containing 0 in ascending order.  The first mask of a
     basis orbit met in the walk generates the orbit's 0-containing images
@@ -121,8 +121,6 @@ def _exhaustive_bases(n: int, shard: int, shards: int) -> Iterator[ZnSet]:
     """
     state = bytearray(1 << (n - 1))  # indexed by mask >> 1
     for mask in range(1, 1 << n, 2):
-        if shards > 1 and _shard_key(mask, n) % shards != shard:
-            continue
         seen = state[mask >> 1]
         if seen == _PENDING:
             yield ZnSet(n, mask)
@@ -147,11 +145,9 @@ def enumerate_bases(
     n: int,
     max_card: int | None = None,
     limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
-    shard: int = 0,
-    shards: int = 1,
 ) -> Iterator[ZnSet]:
     """Yield exactly one representative (the canonical form) per affine orbit
-    of bases of Z_n whose shard key falls in this shard.
+    of bases of Z_n.
 
     Exhaustive mode (max_card None) requires n <= limit.  It walks all
     2^(n-1) masks containing 0 with one byte of state per mask and generates
@@ -171,14 +167,10 @@ def enumerate_bases(
             )
     elif not 1 <= max_card <= n:
         raise ValueError(f"max_card must be in [1, {n}], got {max_card}")
-    if not 0 <= shard < shards:
-        raise ValueError(f"shard must be in [0, {shards}), got {shard}")
     if max_card is None:
-        yield from _exhaustive_bases(n, shard, shards)
+        yield from _exhaustive_bases(n)
         return
     for mask in _capped_candidate_masks(n, max_card):
-        if _shard_key(mask, n) % shards != shard:
-            continue
         a = ZnSet(n, mask)
         if is_canonical(a) and is_basis(a):
             yield a
