@@ -28,8 +28,9 @@ def naive_order(n: int, members) -> int | None:
 
 
 def bfs_triple_order(n: int, a: int, b: int) -> int | None:
-    """Order of the 3-element set {0, a, b} in Z_n as the largest breadth-first distance from 0
-    with steps a and b, or None when some residue is never reached.
+    """Order of the 3-element set {0, a, b} in Z_n as the largest
+    breadth-first distance from 0 with steps a and b, or None when some
+    residue is never reached.
 
     Every element of hA is i*a + j*b with i + j <= h, so the order is the
     largest of the shortest step counts, taken over all residues.
