@@ -115,10 +115,6 @@ class ZnSet:
     def is_full(self) -> bool:
         return self.mask == (1 << self.modulus) - 1
 
-    def union(self, other: ZnSet) -> ZnSet:
-        self._check_modulus(other)
-        return ZnSet(self.modulus, self.mask | other.mask)
-
     def insert(self, residue: int) -> ZnSet:
         if not 0 <= residue < self.modulus:
             raise ValueError(f"residue {residue} out of range [0, {self.modulus})")
@@ -153,19 +149,8 @@ def mask_less(x: int, y: int) -> bool:
     return bool(x & diff & -diff)
 
 
-def canonical_less(a: ZnSet, b: ZnSet) -> bool:
-    """Fixed total order on same-modulus sets: lexicographic on the
-    characteristic vector read from residue 0 upward (membership wins).
-
-    The set containing the lowest residue on which the two differ is the
-    smaller one.
-    """
-    a._check_modulus(b)
-    return mask_less(a.mask, b.mask)
-
-
 def canonical_sort_key(a: ZnSet) -> int:
-    """Integer sort key consistent with canonical_less among sets of one
+    """Integer sort key consistent with mask_less among sets of one
     modulus n: bit i of the complemented mask placed at position n-1-i, so
     residue 0 is the most significant bit and membership sorts first."""
     n = a.modulus

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
-from .affine import canonical_form, is_canonical, zero_based_images
+from .affine import is_canonical, zero_based_images
 from .bounds import KlBoundBreakdown, kl_bound, min_gap_to_fractions
 from .core import (
     Record, ZnSet, canonical_sort_key, divisors, is_basis, mask_less,
@@ -79,28 +79,31 @@ class ConjectureReport(Record):
     argmax_witness: ZnSet | None
 
 
-def _shard_key(mask: int, n: int) -> int:
-    """Partition key: the two smallest non-zero elements of the candidate."""
-    rest = mask & (mask - 1)  # drop residue 0
-    if not rest:
-        return 0
-    low = rest & -rest
-    a2 = low.bit_length() - 1
-    rest ^= low
-    a3 = (rest & -rest).bit_length() - 1 if rest else 0
-    return a2 * n + a3
+# The canonical second member.  Let A have at least two members and let g be
+# the least gcd(y - x, n) over its pairs; g is a proper divisor of n.  Then
+# the canonical form of A is {0, g} together with members all greater than
+# g.  Some image holds 0 and g (translate x to 0, then a unit carries y - x
+# to g).  An image holding 0 and some m with 0 < m < g would have a pair
+# with gcd(m, n) < g, but affine maps keep the gcd of every difference with
+# n.  Both capped searches visit only such sets, each at most once.
 
 
 def _capped_candidate_masks(n: int, max_card: int) -> Iterator[int]:
     """Membership masks of the candidate subsets containing 0 with at most
-    max_card members: {0}, then by size, each size in combination order."""
+    max_card members: {0}, then by size, each size in combination order.
+    Only {0, g} plus members above g, for g a proper divisor of n, can be
+    canonical, so only those are yielded; the canonical ones among them come
+    in the order of a scan of every combination of range(1, n)."""
     yield 1  # the singleton {0}
-    for size in range(1, max_card):
-        for combo in itertools.combinations(range(1, n), size):
-            mask = 1
-            for m in combo:
-                mask |= 1 << m
-            yield mask
+    proper = divisors(n)[:-1]
+    for size in range(2, max_card + 1):
+        for g in proper:
+            root = 1 | 1 << g
+            for rest in itertools.combinations(range(g + 1, n), size - 2):
+                mask = root
+                for m in rest:
+                    mask |= 1 << m
+                yield mask
 
 
 # States of a 0-containing mask in the exhaustive walk, one byte per mask;
@@ -181,14 +184,12 @@ def _check_shards(shards: int) -> None:
         raise ValueError(f"shards must be >= 1, got {shards}")
 
 
-def _by_shard(items: list, shards: int, key) -> Iterator:
-    """The items taken shard by shard: shard s holds those whose key is s mod
-    shards.  Every item lands in exactly one shard, and each caller merges
-    by set union or minimum, so the shard count never changes a result."""
+def _by_shard(items: list, shards: int) -> Iterator:
+    """The items taken shard by shard: shard s holds items[s::shards].
+    Every item lands in exactly one shard, and each caller merges by set
+    union or minimum, so the shard count never changes a result."""
     for shard in range(shards):
-        for item in items:
-            if key(item) % shards == shard:
-                yield item
+        yield from items[shard::shards]
 
 
 def _basis_orders(
@@ -197,7 +198,7 @@ def _basis_orders(
     """Every basis orbit representative with its order.  The enumeration
     runs once; only the order computations are split into shards."""
     reps = list(enumerate_bases(n, max_card, limit))
-    for rep in _by_shard(reps, shards, lambda a: _shard_key(a.mask, n)):
+    for rep in _by_shard(reps, shards):
         rho = order(rep)
         if rho is None:
             raise RuntimeError(f"enumerated basis {rep!r} has infinite order")
@@ -268,26 +269,19 @@ def check_kl_bound(
 # finite order exactly when the gcd of n and its members is 1; the search
 # carries that gcd down the tree and calls order() only when it is 1.
 #
-# Affine reduction roots the search at one pair per divisor: every pair
-# {x, y} maps to {0, g} with g = gcd(y - x, n) under an affine map, so every
-# orbit of every candidate set has a representative containing {0, g} for
-# some divisor g < n.  The third element ranges over all residues; later
-# elements are added in increasing order.  A set may be reachable from more
-# than one root; exceeders are deduplicated by canonical form.
+# By the lemma above _capped_candidate_masks, every canonical set of three or
+# more members is {0, g, y} plus members above y, with g a proper divisor of
+# n and y > g, and the only canonical 2-element basis is {0, 1}.  The search
+# roots at those triples and that pair, and adds later members in increasing
+# order, so it reaches each set once and keeps the canonical exceeders.
 
 
 def _exceeder_tasks(n: int) -> list[tuple[int, int | None]]:
-    tasks: list[tuple[int, int | None]] = []
-    for g in divisors(n):
-        if g == n:
-            continue
-        tasks.append((g, None))
-        for y in range(1, n):
-            if y == g:
-                continue
-            if y < g and n % y == 0:
-                continue  # that orbit is also rooted at the smaller divisor
-            tasks.append((g, y))
+    """The root tasks: (1, None) for the pair {0, 1}, then (g, y) for each
+    root {0, g, y}."""
+    tasks: list[tuple[int, int | None]] = [(1, None)]
+    for g in divisors(n)[:-1]:
+        tasks.extend((g, y) for y in range(g + 1, n))
     return tasks
 
 
@@ -301,31 +295,27 @@ def _search_exceeders(
     """
     found: dict[int, int] = {}
 
-    def record(a: ZnSet, rho: int) -> None:
-        found[canonical_form(a).mask] = rho
-
     def visit(a: ZnSet, last_added: int, span: int) -> None:
         # span = gcd(n, members); a set holding 0 is a basis iff span == 1
         if span == 1:
             rho = order(a)
             if rho is None:
                 raise RuntimeError(f"{a!r} generates Z_{n} but has infinite order")
-            if rho * k > n:
-                record(a, rho)
-            else:
+            if rho * k <= n:
                 return  # no superset can climb back above n/k
+            if is_canonical(a):
+                found[a.mask] = rho
         if len(a) >= cap:
             return
         for z in range(last_added + 1, n):
-            if z not in a:
-                visit(a.insert(z), z, math.gcd(span, z))
+            visit(a.insert(z), z, math.gcd(span, z))
 
     for g, y in tasks:
         pair = ZnSet.from_members(n, {0, g})
         if y is None:
-            rho = order(pair) if g == 1 else None
-            if rho is not None and rho * k > n:
-                record(pair, rho)
+            rho = order(pair)
+            if rho * k > n:
+                found[pair.mask] = rho
         elif cap >= 3:
             visit(pair.insert(y), y, math.gcd(g, y))
     return found
@@ -381,8 +371,7 @@ def verify_conjecture(
         if use_kl_cap and 2 <= threshold <= n - 1:
             kl_cap = kl_bound(n, threshold).bound
             cap = min(cap, max(kl_cap, 2))
-        # the key g*n + y tells the root tasks (g, y) apart
-        tasks = _by_shard(_exceeder_tasks(n), shards, lambda t: t[0] * n + (t[1] or 0))
+        tasks = _by_shard(_exceeder_tasks(n), shards)
         found = _search_exceeders(n, k, cap, tasks)
 
     exceeders = []

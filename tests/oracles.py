@@ -6,6 +6,7 @@ no bit masks, no 0-translation, no stabilization detection, no doubling.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 def naive_order(n: int, members) -> int | None:
@@ -49,6 +50,33 @@ def bfs_triple_order(n: int, a: int, b: int) -> int | None:
     if min(dist) < 0:
         return None
     return max(dist)
+
+
+def small_exceeders(n: int, k: int) -> dict[tuple[int, ...], int]:
+    """{canonical members: order} for every basis orbit of Z_n with 2 or 3
+    members and order greater than n/k.
+
+    Every 0-containing set of 2 or 3 members is tried, with naive_order.  Its
+    canonical form is the image u*(S - x), over units u and members x, whose
+    characteristic vector (membership first) read from residue 0 upward is
+    least.
+    """
+    unit_list = [u for u in range(1, n) if math.gcd(u, n) == 1]
+    found = {}
+    for size in (2, 3):
+        for rest in itertools.combinations(range(1, n), size - 1):
+            s = (0,) + rest
+            rho = naive_order(n, s)
+            if rho is None or rho * k <= n:
+                continue
+            best = min(
+                tuple(0 if r in image else 1 for r in range(n))
+                for u in unit_list
+                for x in s
+                for image in [{u * (y - x) % n for y in s}]
+            )
+            found[tuple(r for r in range(n) if best[r] == 0)] = rho
+    return found
 
 
 def naive_h_fold(n: int, members, h: int) -> set[int]:

@@ -10,11 +10,11 @@ from znbases import divisors, is_basis, nlr, order
 from znbases.core import (
     IntSet,
     ZnSet,
-    canonical_less,
     canonical_sort_key,
     encode,
     format_fraction,
     format_order,
+    mask_less,
 )
 
 from oracles import all_subsets
@@ -90,15 +90,15 @@ def test_basis_criterion_matches_sumset_engine_exhaustively():
             assert is_basis(a) == (order(a) is not None), (n, members)
 
 
-def test_canonical_less_prefers_low_members():
+def test_mask_less_prefers_low_members():
     n = 7
-    a = ZnSet.from_members(n, [0, 1])
-    b = ZnSet.from_members(n, [0, 2])
-    c = ZnSet.from_members(n, [5, 6])
-    assert canonical_less(a, b)
-    assert canonical_less(a, c)
-    assert not canonical_less(b, a)
-    assert not canonical_less(a, a)
+    a = ZnSet.from_members(n, [0, 1]).mask
+    b = ZnSet.from_members(n, [0, 2]).mask
+    c = ZnSet.from_members(n, [5, 6]).mask
+    assert mask_less(a, b)
+    assert mask_less(a, c)
+    assert not mask_less(b, a)
+    assert not mask_less(a, a)
 
 
 def test_intset_normalization_errors():
@@ -125,9 +125,9 @@ def test_fraction_format_round_trip(f):
     assert Fraction(encode(f)) == f
 
 
-def test_canonical_sort_key_agrees_with_canonical_less():
+def test_canonical_sort_key_agrees_with_mask_less():
     def cmp(a, b):
-        return -1 if canonical_less(a, b) else (1 if canonical_less(b, a) else 0)
+        return -1 if mask_less(a.mask, b.mask) else (1 if mask_less(b.mask, a.mask) else 0)
 
     for n in range(1, 9):
         sets = [ZnSet(n, mask) for mask in range(1 << n)]

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,9 @@ from znbases import enumerate_bases, order, spectrum, verify_conjecture
 from znbases.bounds import kl_bound
 from znbases.core import ZnSet, is_basis
 
-from oracles import all_subsets, burnside_basis_orbits, naive_order, naive_spectrum
+from oracles import (
+    all_subsets, burnside_basis_orbits, naive_order, naive_spectrum, small_exceeders,
+)
 
 
 def test_enumerate_bases_covers_all_basis_orbits():
@@ -30,17 +33,29 @@ def test_enumerate_bases_orbit_count_matches_burnside():
 
 
 def test_exhaustive_enumeration_yields_the_canonicality_scan():
-    # The orbit walk must yield exactly what testing every 0-containing
-    # candidate for canonicality and basis-hood yields, in the same order.
+    # Both modes must yield exactly what testing every 0-containing
+    # candidate for canonicality and basis-hood yields, in the same order:
+    # the orbit walk in ascending mask order, the capped mode {0} first,
+    # then by size, each size in combination order.
     from znbases.affine import is_canonical
 
+    def scan(candidates):
+        return [a for a in candidates if is_canonical(a) and is_basis(a)]
+
     for n in range(1, 14):
-        scan = []
-        for mask in range(1, 1 << n, 2):
-            a = ZnSet(n, mask)
-            if is_canonical(a) and is_basis(a):
-                scan.append(a)
-        assert list(enumerate_bases(n)) == scan, n
+        candidates = [ZnSet(n, mask) for mask in range(1, 1 << n, 2)]
+        assert list(enumerate_bases(n)) == scan(candidates), n
+    for n in range(1, 25):
+        candidates = [ZnSet(n, 1)] + [
+            ZnSet.from_members(n, (0, *combo))
+            for size in range(1, min(n, 4))
+            for combo in itertools.combinations(range(1, n), size)
+        ]
+        expected = scan(candidates)
+        for max_card in range(1, min(n, 4) + 1):
+            assert list(enumerate_bases(n, max_card=max_card)) == [
+                a for a in expected if len(a) <= max_card
+            ], (n, max_card)
 
 
 def test_shard_count_below_one_is_refused():
@@ -140,8 +155,8 @@ def test_conjecture_spec_examples():
 
 
 def test_conjecture_capped_equals_exhaustive_when_cap_is_full():
-    for n in range(2, 15):
-        for k in (2, 3):
+    for n in range(2, 19):
+        for k in (2, 3, 4):
             ex = verify_conjecture(n, k)
             for kl in (True, False):
                 cp = verify_conjecture(n, k, max_card=n, use_kl_cap=kl)
@@ -149,6 +164,17 @@ def test_conjecture_capped_equals_exhaustive_when_cap_is_full():
                     (e.witness.mask, e.order) for e in cp.exceeders
                 }
                 assert cp.max_min_gap == ex.max_min_gap
+
+
+def test_capped_search_finds_exceeders_rooted_above_residue_1():
+    # {0,2,5} (order 9) at n = 30 and {0,2,9} (order 11) at n = 42 are
+    # exceeders whose canonical forms lack residue 1.
+    for n, rooted_at_2, rho in ((30, (0, 2, 5), 9), (42, (0, 2, 9), 11)):
+        expected = small_exceeders(n, 4)
+        assert [m for m in expected if 1 not in m] == [rooted_at_2]
+        assert expected[rooted_at_2] == rho
+        report = verify_conjecture(n, 4, max_card=3)
+        assert {e.witness.members: e.order for e in report.exceeders} == expected, n
 
 
 def test_conjecture_caveat_flag():
@@ -219,6 +245,6 @@ def test_capped_search_calls_order_only_on_bases(monkeypatch):
     report = verify_conjecture(60, 3, max_card=6)
     assert report.exceeders
     assert None not in results
-    # Before the search carried gcd(n, members) down the tree it made 8,744
-    # calls here, 3,073 of them on non-bases; the other 5,671 remain.
-    assert len(results) == 5671
+    # Carrying gcd(n, members) down the tree keeps order() off non-bases,
+    # and rooting each set at its canonical second member visits it once.
+    assert len(results) == 4619
