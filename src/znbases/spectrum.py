@@ -274,6 +274,12 @@ def check_kl_bound(
 # n and y > g, and the only canonical 2-element basis is {0, 1}.  The search
 # roots at those triples and that pair, and adds later members in increasing
 # order, so it reaches each set once and keeps the canonical exceeders.
+# Under a root {0, g, y} with g > 1, a set holding a pair with gcd(z - x, n)
+# below g has least pair gcd below g, so by the same lemma its canonical
+# second member is below g and it is not canonical.  Adding members only
+# lowers that gcd, so no set grown from it is canonical either: the search
+# drops it unvisited.  The parent passed this test, so only pairs holding
+# the new member are checked.
 
 
 def _exceeder_tasks(n: int) -> list[tuple[int, int | None]]:
@@ -295,8 +301,13 @@ def _search_exceeders(
     """
     found: dict[int, int] = {}
 
-    def visit(a: ZnSet, last_added: int, span: int) -> None:
-        # span = gcd(n, members); a set holding 0 is a basis iff span == 1
+    def extend(a: ZnSet, z: int, span: int, g: int) -> None:
+        # visit a + {z}; a has second member g and span = gcd(n, members of
+        # a), and a set holding 0 is a basis iff that gcd is 1
+        if g > 1 and any(math.gcd(z - x, n) < g for x in a):
+            return  # never canonical, nor is any set grown from it
+        a = a.insert(z)
+        span = math.gcd(span, z)
         if span == 1:
             rho = order(a)
             if rho is None:
@@ -307,17 +318,17 @@ def _search_exceeders(
                 found[a.mask] = rho
         if len(a) >= cap:
             return
-        for z in range(last_added + 1, n):
-            visit(a.insert(z), z, math.gcd(span, z))
+        for w in range(z + 1, n):
+            extend(a, w, span, g)
 
     for g, y in tasks:
         pair = ZnSet.from_members(n, {0, g})
-        if y is None:
+        if y is None and cap >= 2:
             rho = order(pair)
             if rho * k > n:
                 found[pair.mask] = rho
-        elif cap >= 3:
-            visit(pair.insert(y), y, math.gcd(g, y))
+        elif y is not None and cap >= 3:
+            extend(pair, y, g, g)
     return found
 
 

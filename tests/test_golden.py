@@ -1,7 +1,7 @@
 """Golden CLI gate: every run in golden.json must reproduce its exit code and
 stdout byte for byte.
 
-golden.json holds the argv, exit code and stdout of 220 runs.  Captured
+golden.json holds the argv, exit code and stdout of 223 runs.  Captured
 before the report codec and the CLI renderer were rewritten: ``--version``,
 every ``--help``, all 11 commands in table, json and csv, shard counts 1, 2,
 3 and 5, and a few usage errors (exit 2, empty stdout).  Captured before the
@@ -13,9 +13,11 @@ come from the gcd(d, q) > 1 branch of ``ap_cover``.  Captured before
 ``order`` computed 3-element sets from the minimum-distance diagram, in all
 three formats: ``order`` on a basis triple whose steps both share a factor
 with n, on a non-basis triple and on a triple without 0; ``sandwich --n 100
---a 4 --b 7`` (exit 1); and ``family --k 5`` over n = 1000..1400.  A
-legitimate output change must be made in golden.json in the same change, run
-by run.
+--a 4 --b 7`` (exit 1); and ``family --k 5`` over n = 1000..1400.  Captured
+after a fix, since the earlier output was wrong: ``conjecture --k 2 --n 7
+--max-card 1`` in all three formats, which had reported the 2-member witness
+{0,1} under a cap of one member.  A legitimate output change must be made in
+golden.json in the same change, run by run.
 """
 
 import json

@@ -147,6 +147,9 @@ def test_conjecture_spec_examples():
     r = verify_conjecture(7, 2)
     assert [(e.witness.to_text(), e.order) for e in r.exceeders] == [("0,1", 6)]
     assert r.max_min_gap == 1  # min(|6-7|, |6-7/2|) = 1
+    assert verify_conjecture(7, 2, max_card=2).exceeders == r.exceeders
+    for kl in (True, False):  # the pair {0,1} lies outside a cap of one member
+        assert verify_conjecture(7, 2, max_card=1, use_kl_cap=kl).exceeders == ()
     assert verify_conjecture(7, 1).exceeders == ()
     assert verify_conjecture(7, 1).max_min_gap == 0
     r9 = verify_conjecture(9, 2)
@@ -175,6 +178,26 @@ def test_capped_search_finds_exceeders_rooted_above_residue_1():
         assert expected[rooted_at_2] == rho
         report = verify_conjecture(n, 4, max_card=3)
         assert {e.witness.members: e.order for e in report.exceeders} == expected, n
+
+
+def test_capped_search_agrees_with_capped_enumeration_above_n_18():
+    # The capped enumeration never runs the exceeder search, so it is an
+    # independent check of the search, its roots and its canonicity prune.
+    # k = 5 adds exceeders such as {0,2,5,10} at n = 30, whose pair 2, 10
+    # has gcd(8, 30) equal to the second member; the prune must keep them.
+    rooted_above_1 = 0
+    for n in (24, 30, 36, 42, 48, 60):
+        bases = list(enumerate_bases(n, max_card=4))
+        for k in (3, 4, 5):
+            expected = {}
+            for a in bases:
+                rho = order(a)
+                if rho * k > n:
+                    expected[a.mask] = rho
+            report = verify_conjecture(n, k, max_card=4, use_kl_cap=False)
+            assert {e.witness.mask: e.order for e in report.exceeders} == expected, (n, k)
+            rooted_above_1 += sum(1 not in e.witness for e in report.exceeders)
+    assert rooted_above_1 > 0
 
 
 def test_conjecture_caveat_flag():
@@ -246,5 +269,6 @@ def test_capped_search_calls_order_only_on_bases(monkeypatch):
     assert report.exceeders
     assert None not in results
     # Carrying gcd(n, members) down the tree keeps order() off non-bases,
-    # and rooting each set at its canonical second member visits it once.
-    assert len(results) == 4619
+    # rooting each set at its canonical second member visits it once, and
+    # sets with a pair gcd below that member are dropped unvisited.
+    assert len(results) == 388
