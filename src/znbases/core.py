@@ -14,10 +14,14 @@ from types import UnionType
 from typing import Iterable, Iterator, get_args, get_origin, get_type_hints
 
 
+def _check_positive(modulus: int) -> None:
+    if modulus < 1:
+        raise ValueError(f"modulus must be positive, got {modulus}")
+
+
 def nlr(x: int, n: int) -> int:
     """Numerically least residue of x mod n: the representative in (-n/2, n/2]."""
-    if n < 1:
-        raise ValueError(f"modulus must be positive, got {n}")
+    _check_positive(n)
     r = x % n
     # 2r > n pushes the representative below zero; 2r == n stays at n/2.
     if 2 * r > n:
@@ -53,13 +57,13 @@ class ZnSet:
     mask: int = 0
 
     def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be positive, got {self.modulus}")
+        _check_positive(self.modulus)
         if self.mask < 0 or self.mask >> self.modulus:
             raise ValueError("membership mask has bits outside [0, modulus)")
 
     @classmethod
     def from_members(cls, modulus: int, members: Iterable[int]) -> ZnSet:
+        _check_positive(modulus)
         mask = 0
         for m in members:
             if not 0 <= m < modulus:
@@ -74,6 +78,7 @@ class ZnSet:
         Rejects out-of-range and duplicate entries.  Semicolons are accepted
         as separators too (the CSV-embedded variant of the same literal).
         """
+        _check_positive(modulus)
         text = text.strip()
         if not text:
             return cls(modulus, 0)

@@ -67,12 +67,14 @@ def ap_cover(s: ZnSet, coprime_only: bool = False) -> tuple[int, int, int]:
     when coprime_only); ties break by smallest l, then smallest d, then
     smallest start.  Returns (start, difference, length).
 
-    Each d costs one sort of |S| positions, not a walk of q cells.  With
-    g = gcd(d, q), the stride-d cycle through the least member (the anchor)
-    is the anchor's class mod g, and the member anchor + o sits at position
-    (o/g) * (d/g)^-1 mod q/g on it.  Only d <= q/2 is searched: a
-    progression with difference q - d is one with difference d run
-    backwards, so q - d > d never wins the tie on length.
+    With g = gcd(d, q), the stride-d cycle through the least member (the
+    anchor) is the anchor's class mod g; the minimal covering arc on it
+    leaves out the longest run of non-members.  A dense set (32|S| >= q)
+    finds that run by O(log q) shifts of q-bit masks per d, a sparser one by
+    one sort of |S| positions: anchor + o sits at (o/g) * (d/g)^-1 mod q/g.
+    Only d <= q/2 is searched: a progression with difference q - d is one
+    with difference d run backwards, so q - d > d never wins the tie on
+    length.
     """
     if not s:
         raise ValueError("AP cover of an empty set")
@@ -83,6 +85,12 @@ def ap_cover(s: ZnSet, coprime_only: bool = False) -> tuple[int, int, int]:
     offsets = [x - anchor for x in s]
     card = len(offsets)
     spread = math.gcd(q, *offsets)  # g must divide it for the cycle to hold S
+    dense, mask, full = 32 * card >= q, s.mask, (1 << q) - 1
+
+    def rot(x: int, k: int) -> int:  # bit c of the result is bit (c + k) % q of x
+        k %= q
+        return (x >> k | x << (q - k)) & full
+
     best: tuple[int, int, int] | None = None  # (l, d, start)
     for d in range(1, q // 2 + 1):
         if best is not None and best[0] <= card:
@@ -93,6 +101,23 @@ def ap_cover(s: ZnSet, coprime_only: bool = False) -> tuple[int, int, int]:
         if spread % g:
             continue  # an AP with difference d stays in one class mod g
         cycle = q // g
+        if dense:
+            # runs[j]: the cells that start 2^j non-members in a row along d
+            runs = [(full // ((1 << g) - 1) << anchor % g) & ~mask]
+            while runs[-1]:
+                runs.append(runs[-1] & rot(runs[-1], d << len(runs) - 1))
+            starts, longest = full, 0
+            for j in range(len(runs) - 2, -1, -1):
+                longer = starts & rot(runs[j], longest * d)
+                if longer:
+                    starts, longest = longer, longest + (1 << j)
+            length = cycle - longest
+            if best is not None and length >= best[0]:
+                continue  # d only grows, so a tie on length never wins
+            # The members just past a longest run start the shortest arcs.
+            ends = rot(starts, -longest * d) & mask
+            best = (length, d, (ends & -ends).bit_length() - 1)
+            continue
         inv = pow(d // g, -1, cycle)
         positions = [o // g * inv % cycle for o in offsets]
         positions.sort()

@@ -47,6 +47,17 @@ def test_shard_count_below_one_exits_2():
         assert "shards must be >= 1" in res.output
 
 
+def test_nonpositive_modulus_is_named_before_the_residues():
+    for args, n in ((("order", "--n", "0", "--set", "0"), 0),
+                    (("canon", "--n", "0", "--set", "0"), 0),
+                    (("df-analyze", "--n", "-5", "--set", "0"), -5)):
+        res = run(*args)
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert f"modulus must be positive, got {n}" in res.stderr
+        assert "out of range" not in res.stderr
+
+
 def test_spectrum_csv_matches_spec_example():
     res = run("spectrum", "--n", "7", "--exhaustive", "--format", "csv")
     assert res.exit_code == 0

@@ -66,6 +66,13 @@ def test_znset_parse_rejects_bad_literals():
         ZnSet.from_members(5, [-1])
 
 
+@pytest.mark.parametrize("n", [0, -5])
+def test_znset_constructors_name_a_nonpositive_modulus(n):
+    for build in (lambda: ZnSet.from_text(n, "0"), lambda: ZnSet.from_members(n, [0])):
+        with pytest.raises(ValueError, match=f"modulus must be positive, got {n}"):
+            build()
+
+
 def test_znset_rotate_wraps():
     a = ZnSet.from_members(6, [0, 4, 5])
     assert a.rotate(2) == ZnSet.from_members(6, [2, 0, 1])

@@ -88,6 +88,51 @@ def test_ap_cover_matches_stride_walk(s, coprime_only):
     assert ap_cover(s, coprime_only) == walk_ap_cover(s.modulus, s.members, coprime_only)
 
 
+@st.composite
+def dense_sets(draw):
+    """Subsets S of Z_q with 32|S| >= q, the side that finds gaps by mask
+    shifts: random members, sometimes all in one class mod a divisor of q so
+    that the gcd(d, q) > 1 cycles decide the cover."""
+    q = draw(st.integers(2, 400))
+    step = draw(st.sampled_from([g for g in divisors(q) if 32 * (q // g) >= q]))
+    cls = range(draw(st.integers(0, step - 1)), q, step)
+    card = draw(st.integers(-(-q // 32), len(cls)))
+    return ZnSet.from_members(q, draw(st.permutations(cls))[:card])
+
+
+@st.composite
+def sparse_sets(draw):
+    """Subsets S of Z_q with 32|S| < q, the side that sorts positions: a
+    random pattern repeated at t equally spaced offsets, so that several gaps
+    can tie for the largest."""
+    q = draw(st.integers(200, 700))
+    t = draw(st.sampled_from([t for t in (1, 2, 3, 4) if q % t == 0]))
+    pattern = draw(st.sets(st.integers(0, q // t - 1), min_size=1, max_size=(q - 1) // 32 // t))
+    return ZnSet.from_members(q, {x + i * (q // t) for x in pattern for i in range(t)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(dense_sets(), st.booleans())
+def test_ap_cover_matches_stride_walk_on_dense_sets(s, coprime_only):
+    assert 32 * len(s) >= s.modulus
+    assert ap_cover(s, coprime_only) == walk_ap_cover(s.modulus, s.members, coprime_only)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_sets(), st.booleans())
+def test_ap_cover_matches_stride_walk_on_sparse_sets(s, coprime_only):
+    assert 32 * len(s) < s.modulus
+    assert ap_cover(s, coprime_only) == walk_ap_cover(s.modulus, s.members, coprime_only)
+
+
+@pytest.mark.parametrize("coprime_only", [False, True])
+@pytest.mark.parametrize("members", [(0, 1, 2, 5, 9, 40), (0, 4, 8, 60, 100, 160), (3, 7, 50, 51, 52, 140)])
+@pytest.mark.parametrize("q", [191, 192, 193])
+def test_ap_cover_at_the_density_switch(q, members, coprime_only):
+    s = ZnSet.from_members(q, members)  # 32|S| = q + 1, q, q - 1
+    assert ap_cover(s, coprime_only) == walk_ap_cover(q, members, coprime_only)
+
+
 def test_ap_cover_makes_no_membership_test(monkeypatch):
     def refuse(self, residue):
         pytest.fail("ap_cover tested membership cell by cell")
