@@ -9,11 +9,10 @@ for triples {0, a, b} with a | n, the pigeonhole machinery for triples
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .core import IntSet, Record, ZnSet, divisors, nlr
+from .core import IntSet, ZnSet, divisors, nlr, record
 from .sumsets import order
 
 
@@ -22,8 +21,8 @@ class KlTerm(NamedTuple):
     value: int
 
 
-@dataclass(frozen=True)
-class KlBoundBreakdown(Record):
+@record
+class KlBoundBreakdown(NamedTuple):
     """Per-divisor evaluation of the cardinality bound max over d | n, d >= rho+1
     of (n/d) * (floor((d-2)/(rho-1)) + 1)."""
 
@@ -51,16 +50,15 @@ def kl_bound(n: int, rho: int) -> KlBoundBreakdown:
     return KlBoundBreakdown(n=n, rho=rho, terms=terms, bound=max(v for _, v in terms))
 
 
-@dataclass(frozen=True)
-class FlGrowthRecord:
+class FlGrowthRecord(NamedTuple):
     h: int
     size: int
     lower_bound: int
     holds: bool
 
 
-@dataclass(frozen=True)
-class FlGrowthReport(Record):
+@record
+class FlGrowthReport(NamedTuple):
     """Integer-sumset growth |hA| >= |A| + (h-1)*span for normalized sets.
 
     When the hypothesis 2|A| - 3 >= span fails, the sizes are still recorded
@@ -122,8 +120,8 @@ def fl_growth_check(a: IntSet, h_max: int) -> FlGrowthReport:
     )
 
 
-@dataclass(frozen=True)
-class SandwichBounds(Record):
+@record
+class SandwichBounds(NamedTuple):
     """The classical two-sided order bound for A = {0, a, b} with a >= 2,
     a | n, gcd(a, b) = 1, against the measured order.
 
@@ -163,8 +161,8 @@ def sandwich_bounds(n: int, a: int, b: int) -> SandwichBounds:
     )
 
 
-@dataclass(frozen=True)
-class PigeonholeWitness(Record):
+@record
+class PigeonholeWitness(NamedTuple):
     """Smallest c in [1, k-1] whose multiple of t has numerically least residue
     of magnitude s <= n/k; r is the signed residue, s = |r|."""
 
@@ -191,8 +189,8 @@ def pigeonhole_witness(n: int, k: int, t: int) -> PigeonholeWitness:
     )
 
 
-@dataclass(frozen=True)
-class WitnessOrderBound(Record):
+@record
+class WitnessOrderBound(NamedTuple):
     """Order bound s + c*n/s for the triple {0, 1, t}, from a pigeonhole witness.
 
     s = 0 makes the bound infinite (bound is None) and the check vacuous.
@@ -218,8 +216,8 @@ def witness_order_bound(witness: PigeonholeWitness) -> WitnessOrderBound:
     )
 
 
-@dataclass(frozen=True)
-class RepDecomposition(Record):
+@record
+class RepDecomposition(NamedTuple):
     """Representation t = (d*n + e)/c with e the numerically least residue of
     c*t; applicable only when |e| <= c*k.
 
@@ -258,8 +256,8 @@ def rep_decompose(n: int, k: int, t: int, c: int) -> RepDecomposition:
     )
 
 
-@dataclass(frozen=True)
-class FamilyRecord(Record):
+@record
+class FamilyRecord(NamedTuple):
     """Measured order of {0, 1, k} in Z_n for one family modulus n = mk - 1."""
 
     k: int

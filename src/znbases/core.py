@@ -8,7 +8,7 @@ comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from types import UnionType
 from typing import Iterable, Iterator, get_args, get_origin, get_type_hints
@@ -254,35 +254,27 @@ def format_fraction(value: Fraction | int) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def with_modulus(key: str):
-    """A ZnSet field encoded as two keys: "modulus" and `key` (the set literal)."""
-    return field(metadata={"with_modulus": key})
-
-
 def encode(value):
     """The JSON form of a report value.
 
-    A ZnSet becomes its set literal and a Fraction its exact string; named
-    tuples become objects keyed by field name, other tuples and lists become
-    lists, records (dataclasses) become objects field by field; None, bools,
-    ints and strings pass through.
+    A ZnSet becomes its set literal and a Fraction its exact string; records
+    and other named tuples become objects keyed by field name, other tuples
+    and lists become lists; None, bools, ints and strings pass through.
     """
-    if isinstance(value, ZnSet):  # before the dataclass case: ZnSet is one
+    if isinstance(value, ZnSet):
         return value.to_text()
     if isinstance(value, Fraction):
         return format_fraction(value)
-    if is_dataclass(value):
+    if hasattr(value, "_fields"):
+        split = getattr(value, "_with_modulus", {})
         out = {}
-        for f in fields(value):
-            v = getattr(value, f.name)
-            key = f.metadata.get("with_modulus")
+        for name, v in zip(value._fields, value):
+            key = split.get(name)
             if key is None:
-                out[f.name] = encode(v)
+                out[name] = encode(v)
             else:
                 out["modulus"], out[key] = v.modulus, v.to_text()
         return out
-    if hasattr(value, "_asdict"):
-        return {k: encode(v) for k, v in value._asdict().items()}
     if isinstance(value, (tuple, list)):
         return [encode(v) for v in value]
     if isinstance(value, dict):
@@ -303,20 +295,15 @@ def _decode(tp, value, modulus: int | None):
         return ZnSet.from_text(modulus, value)
     if tp is Fraction:
         return Fraction(value)
-    if is_dataclass(tp):
+    if hasattr(tp, "_fields"):
         modulus = value.get("n", value.get("modulus", modulus))
         hints = get_type_hints(tp)
-        kwargs = {}
-        for f in fields(tp):
-            key = f.metadata.get("with_modulus")
-            if key is None:
-                kwargs[f.name] = _decode(hints[f.name], value[f.name], modulus)
-            else:
-                kwargs[f.name] = ZnSet.from_text(value["modulus"], value[key])
-        return tp(**kwargs)
-    if hasattr(tp, "_fields"):
-        hints = get_type_hints(tp)
-        return tp(*(_decode(hints[k], value[k], modulus) for k in tp._fields))
+        split = getattr(tp, "_with_modulus", {})
+        return tp(*(
+            ZnSet.from_text(value["modulus"], value[split[k]]) if k in split
+            else _decode(hints[k], value[k], modulus)
+            for k in tp._fields
+        ))
     if get_origin(tp) is tuple:
         args = get_args(tp)
         if len(args) == 2 and args[1] is Ellipsis:
@@ -325,18 +312,20 @@ def _decode(tp, value, modulus: int | None):
     return value
 
 
-class Record:
-    """Mixin for report dataclasses: one type-driven JSON codec for all.
+def record(cls=None, *, with_modulus: dict[str, str] | None = None):
+    """Class decorator for report named tuples: one type-driven JSON codec
+    for all.
 
-    to_dict applies `encode`; from_dict inverts it from the field
-    annotations.  Fields declared with `with_modulus` carry their own
-    modulus; every other ZnSet takes it from the enclosing record's `n` or
-    `modulus` key.
+    It attaches to_dict, which applies `encode`, and from_dict, which
+    inverts it from the field annotations.  `with_modulus` maps a ZnSet
+    field to the key of its set literal: that field is written as two keys,
+    "modulus" and the given one, and so carries its own modulus.  Every
+    other ZnSet takes it from the enclosing record's `n` or `modulus` key.
     """
+    def attach(cls):
+        cls._with_modulus = with_modulus or {}
+        cls.to_dict = encode
+        cls.from_dict = classmethod(lambda cls, d: _decode(cls, d, None))
+        return cls
 
-    def to_dict(self) -> dict:
-        return encode(self)
-
-    @classmethod
-    def from_dict(cls, d: dict):
-        return _decode(cls, d, None)
+    return attach if cls is None else attach(cls)

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
 from .affine import is_canonical, zero_based_images
 from .bounds import KlBoundBreakdown, kl_bound, min_gap_to_fractions
 from .core import (
-    Record, ZnSet, canonical_sort_key, divisors, is_basis, mask_less,
+    ZnSet, canonical_sort_key, divisors, is_basis, mask_less, record,
 )
 from .sumsets import order
 
@@ -31,8 +30,8 @@ class OrderWitness(NamedTuple):
     witness: ZnSet
 
 
-@dataclass(frozen=True)
-class SpectrumReport(Record):
+@record
+class SpectrumReport(NamedTuple):
     """Achieved finite orders over one representative per basis orbit.
 
     gaps are the maximal runs inside [1, n-1] with no achieved order; each
@@ -47,8 +46,8 @@ class SpectrumReport(Record):
     witnesses: tuple[OrderWitness, ...]
 
 
-@dataclass(frozen=True)
-class Exceeder(Record):
+@record
+class Exceeder(NamedTuple):
     """One basis orbit whose order exceeds n/k, with its gap to the nearest n/l."""
 
     witness: ZnSet
@@ -57,8 +56,8 @@ class Exceeder(Record):
     min_gap: Fraction
 
 
-@dataclass(frozen=True)
-class ConjectureReport(Record):
+@record
+class ConjectureReport(NamedTuple):
     """Empirical gap measurement over all enumerated bases with order > n/k.
 
     max_min_gap is the largest, over those bases, of the distance from the

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import sub
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from .core import Record, ZnSet, divisors, with_modulus
+from .core import ZnSet, divisors, record
 from .sumsets import add_sets, order
 
 DOUBLING_SIGMA = Fraction(204, 100)
@@ -138,8 +137,8 @@ def ap_cover(s: ZnSet, coprime_only: bool = False) -> tuple[int, int, int]:
     return (start, d, length)
 
 
-@dataclass(frozen=True)
-class StructureReport(Record):
+@record
+class StructureReport(NamedTuple):
     """Coset statistics of A relative to the size-m subgroup H of Z_n.
 
     inequality_holds records (l - 1)*m <= |2A| - |A|, with l replaced by
@@ -157,8 +156,8 @@ class StructureReport(Record):
     inequality_holds: bool
 
 
-@dataclass(frozen=True)
-class DfAnalysis(Record):
+@record(with_modulus={"input_set": "set"})
+class DfAnalysis(NamedTuple):
     """Small-doubling structure scan of A over every proper subgroup of Z_n.
 
     The hypothesis flags record whether the doubling ratio is below sigma and
@@ -167,7 +166,7 @@ class DfAnalysis(Record):
     l*m (smallest m on ties), or None when no divisor qualifies.
     """
 
-    input_set: ZnSet = with_modulus("set")
+    input_set: ZnSet
     sigma: Fraction
     set_size: int
     double_size: int
@@ -274,8 +273,8 @@ def _doublings(
     return None, cur, sizes
 
 
-@dataclass(frozen=True)
-class ProjectionBounds(Record):
+@record
+class ProjectionBounds(NamedTuple):
     """Order of the projection vs order of the set, for one divisor q of n.
 
     The lower bound (projection order <= order) always holds; the upper
@@ -311,8 +310,8 @@ def projection_order_bounds(a: ZnSet, q: int) -> ProjectionBounds:
     )
 
 
-@dataclass(frozen=True, kw_only=True)
-class PipelineTrace(Record):
+@record(with_modulus={"input_set": "set"})
+class PipelineTrace(NamedTuple):
     """Every intermediate quantity of the large-order structure argument, run
     end to end on a concrete basis: doubling search, structure scan of the
     doubled set, coset counts, branch selection, and the evaluated slack of
@@ -320,14 +319,14 @@ class PipelineTrace(Record):
     measured exactly.
     """
 
-    input_set: ZnSet = with_modulus("set")
+    input_set: ZnSet
     k: int
     sigma: Fraction
     rho: int | None
     exceeds_n_over_k: bool
+    doubling_sizes: tuple[int, ...]
     j: int | None = None
     h: int | None = None
-    doubling_sizes: tuple[int, ...]
     b: ZnSet | None = None
     m: int | None = None
     q: int | None = None
@@ -378,7 +377,7 @@ def pipeline_trace(
     if j is None:
         return trace
     h = 1 << j
-    trace = replace(trace, j=j, h=h, b=b)
+    trace = trace._replace(j=j, h=h, b=b)
     analysis = df_analyze(b, sigma=sigma, coprime_only=coprime_only)
     chosen = analysis.best
     if chosen is None and analysis.reports:
@@ -415,8 +414,7 @@ def pipeline_trace(
     if rho_pb is not None and l >= 2:
         ap_gap = abs(rho_pb - Fraction(n, l - 1))
 
-    return replace(
-        trace,
+    return trace._replace(
         m=m,
         q=q,
         s=s,

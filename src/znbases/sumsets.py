@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .core import Record, ZnSet, with_modulus
+from .core import ZnSet, record
 
 
 def add_sets(x: ZnSet, y: ZnSet) -> ZnSet:
@@ -139,8 +139,8 @@ def _simplest_fraction(
     return f * p + q, p
 
 
-@dataclass(frozen=True)
-class SumsetTrajectory(Record):
+@record(with_modulus={"base": "base"})
+class SumsetTrajectory(NamedTuple):
     """The level-by-level record of hA up to full cover or stabilization.
 
     ``levels[h-1]`` is hA of the 0-translated base; ``order`` is the least h
@@ -148,7 +148,7 @@ class SumsetTrajectory(Record):
     ``stabilized`` (in which case the final two recorded levels are equal).
     """
 
-    base: ZnSet = with_modulus("base")
+    base: ZnSet
     levels: tuple[ZnSet, ...]
     sizes: tuple[int, ...]
     order: int | None

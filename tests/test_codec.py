@@ -1,15 +1,21 @@
-"""Round trip of every report type through the one JSON codec (core.Record).
+"""Round trip of every report type through the one JSON codec (core.record).
 
 Each case builds a report, or takes the JSON payload a CLI command prints;
 the report must survive to_dict -> JSON text -> from_dict unchanged, and a
 CLI payload must decode to a report that encodes back to the same payload.
+Reports are named tuples, whose == ignores the class, so the decoded types
+are checked too, nested records included.
 """
 
+import importlib
 import json
+import pkgutil
+from dataclasses import is_dataclass
 
 import pytest
 from click.testing import CliRunner
 
+import znbases
 from znbases import (
     df_analyze,
     fl_growth_check,
@@ -27,8 +33,10 @@ from znbases import (
 )
 from znbases.bounds import (
     FamilyRecord,
+    FlGrowthRecord,
     FlGrowthReport,
     KlBoundBreakdown,
+    KlTerm,
     PigeonholeWitness,
     RepDecomposition,
     SandwichBounds,
@@ -36,7 +44,7 @@ from znbases.bounds import (
 )
 from znbases.cli import main
 from znbases.core import IntSet, ZnSet
-from znbases.spectrum import ConjectureReport, Exceeder, SpectrumReport
+from znbases.spectrum import ConjectureReport, Exceeder, OrderWitness, SpectrumReport
 from znbases.structure import DfAnalysis, PipelineTrace, ProjectionBounds, StructureReport
 from znbases.sumsets import SumsetTrajectory
 
@@ -75,6 +83,24 @@ CASES = [
     (SumsetTrajectory, lambda: trajectory(ZnSet.from_text(6, "0,2")), "trajectory-stabilized"),
 ]
 
+# Field -> class of the records a report nests there, alone or in a tuple.
+NESTED = {
+    SpectrumReport: {"witnesses": OrderWitness},
+    ConjectureReport: {"exceeders": Exceeder},
+    KlBoundBreakdown: {"terms": KlTerm},
+    FlGrowthReport: {"records": FlGrowthRecord},
+    WitnessOrderBound: {"witness": PigeonholeWitness},
+    DfAnalysis: {"reports": StructureReport, "best": StructureReport},
+}
+
+
+def assert_types(report, cls):
+    assert type(report) is cls
+    for name, inner in NESTED.get(cls, {}).items():
+        value = getattr(report, name)
+        items = [value] if value is None or hasattr(value, "_fields") else value
+        assert all(type(x) is inner for x in items if x is not None), name
+
 
 def test_cases_cover_every_report_type():
     assert len({cls for cls, _, _ in CASES}) == 14
@@ -88,10 +114,27 @@ def test_report_round_trip(cls, make):
         assert report.to_dict() == made
     else:
         report = made
-    assert type(report) is cls
+    assert_types(report, cls)
     d = report.to_dict()
-    assert cls.from_dict(d) == report
-    assert cls.from_dict(json.loads(json.dumps(d))) == report
+    for back in (cls.from_dict(d), cls.from_dict(json.loads(json.dumps(d)))):
+        assert back == report
+        assert_types(back, cls)
+
+
+def test_reports_are_named_tuples_and_values_are_dataclasses():
+    """Report types are tuple subclasses carrying the codec; the only
+    dataclasses in the package are the three validated value types."""
+    for cls in {cls for cls, _, _ in CASES}:
+        assert issubclass(cls, tuple) and hasattr(cls, "_fields"), cls
+        assert callable(cls.to_dict) and callable(cls.from_dict), cls
+    modules = [importlib.import_module(f"znbases.{m.name}")
+               for m in pkgutil.iter_modules(znbases.__path__)]
+    found = {obj.__name__
+             for module in modules
+             for obj in vars(module).values()
+             if isinstance(obj, type) and is_dataclass(obj)
+             and obj.__module__ == module.__name__}
+    assert found == {"ZnSet", "IntSet", "AffineMap"}
 
 
 def test_nested_set_without_modulus_is_refused():
