@@ -1,7 +1,7 @@
 """Golden CLI gate: every run in golden.json must reproduce its exit code and
 stdout byte for byte.
 
-golden.json holds the argv, exit code and stdout of 223 runs.  Captured
+golden.json holds the argv, exit code and stdout of 225 runs.  Captured
 before the report codec and the CLI renderer were rewritten: ``--version``,
 every ``--help``, all 11 commands in table, json and csv, shard counts 1, 2,
 3 and 5, and a few usage errors (exit 2, empty stdout).  Captured before the
@@ -16,7 +16,11 @@ with n, on a non-basis triple and on a triple without 0; ``sandwich --n 100
 --a 4 --b 7`` (exit 1); and ``family --k 5`` over n = 1000..1400.  Captured
 after a fix, since the earlier output was wrong: ``conjecture --k 2 --n 7
 --max-card 1`` in all three formats, which had reported the 2-member witness
-{0,1} under a cap of one member.  A legitimate output change must be made in
+{0,1} under a cap of one member.  Captured before the exceeder search
+pruned by the subgroup quotient and by basis triples, the first runs that
+search deeper than four members: ``conjecture --k 4 --max-card 6 --n 120``
+in json (20 exceeders, Klopsch-Lev cap 6) and ``conjecture --k 5
+--max-card 8 --n 60`` as a table (70 exceeders, cap 8).  A legitimate output change must be made in
 golden.json in the same change, run by run.
 """
 
