@@ -19,7 +19,7 @@ from .bounds import KlBoundBreakdown, kl_bound, min_gap_to_fractions
 from .core import (
     ZnSet, canonical_sort_key, divisors, is_basis, mask_less, record,
 )
-from .sumsets import order
+from .sumsets import _triple_order, order
 
 DEFAULT_EXHAUSTIVE_LIMIT = 20
 DEFAULT_CARD_CAP = 6
@@ -279,6 +279,22 @@ def check_kl_bound(
 # lowers that gcd, so no set grown from it is canonical either: the search
 # drops it unvisited.  The parent passed this test, so only pairs holding
 # the new member are checked.
+#
+# The quotient bound.  Let A hold 0 and let d = gcd(n, members of A) > 1, so
+# A lies in H = dZ_n and A/d is a basis of Z_{n/d}; with r its order there,
+# rA = H.  A basis B of Z_n that contains A maps onto a set of Z_n/H = Z_d
+# that holds 0 and generates Z_d.  Its h-fold sums grow by at least one
+# residue per step until they fill Z_d, so (d - 1)B meets every coset of H,
+# and (d - 1)B + rA, which lies in (d - 1 + r)B, is all of Z_n.  Hence
+# order(B) <= r + d - 1, and when (r + d - 1) * k <= n no set grown from A
+# is an exceeder: the search drops A's subtree.
+#
+# The sub-basis bound.  If T is a basis inside A, then hT lies in hA, so
+# order(A) <= order(T), and the same holds for every set grown from A.  A
+# child of four or more members with a basis triple of order <= n/k is
+# dropped before order() runs on it.  A basis triple without the new member
+# lies in the parent, whose order was above n/k, so only triples holding the
+# new member are checked.
 
 
 def _exceeder_tasks(n: int) -> list[tuple[int, int | None]]:
@@ -307,7 +323,18 @@ def _search_exceeders(
             return  # never canonical, nor is any set grown from it
         a = a.insert(z)
         span = math.gcd(span, z)
+        if span > 1 and len(a) < cap:
+            quotient = ZnSet.from_members(n // span, (x // span for x in a))
+            if (order(quotient) + span - 1) * k <= n:
+                return  # the quotient bound caps every set grown from a
         if span == 1:
+            rest = a.members[:-1]  # z is the largest member
+            if len(rest) >= 3 and any(
+                math.gcd(n, y - x, z - x) == 1
+                and _triple_order(n, y - x, z - x) * k <= n
+                for x, y in itertools.combinations(rest, 2)
+            ):
+                return  # a basis triple caps a and every set grown from it
             rho = order(a)
             if rho is None:
                 raise RuntimeError(f"{a!r} generates Z_{n} but has infinite order")
@@ -353,6 +380,8 @@ def verify_conjecture(
         raise ValueError(f"n must be positive, got {n}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if max_card is not None and not 1 <= max_card <= n:
+        raise ValueError(f"max_card must be in [1, {n}], got {max_card}")
     _check_shards(shards)
 
     mode = "exhaustive" if max_card is None else "card_capped"
@@ -374,8 +403,6 @@ def verify_conjecture(
             if rho * k > n:
                 found[rep.mask] = rho
     else:
-        if not 1 <= max_card <= n:
-            raise ValueError(f"max_card must be in [1, {n}], got {max_card}")
         cap = max_card
         threshold = n // k + 1
         if use_kl_cap and 2 <= threshold <= n - 1:

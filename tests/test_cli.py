@@ -47,6 +47,17 @@ def test_shard_count_below_one_exits_2():
         assert "shards must be >= 1" in res.output
 
 
+def test_conjecture_cap_out_of_range_exits_2_before_the_trivial_cases():
+    # k = 1 and n = 1 are answered without a search; the cap is still checked
+    for args, n, cap in ((("--k", "3", "--n", "1", "--max-card", "0"), 1, 0),
+                         (("--k", "1", "--n", "10", "--max-card", "50"), 10, 50),
+                         (("--k", "1", "--n-range", "1..3", "--max-card", "0"), 1, 0)):
+        res = run("conjecture", *args)
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert f"max_card must be in [1, {n}], got {cap}" in res.stderr
+
+
 def test_nonpositive_modulus_is_named_before_the_residues():
     for args, n in ((("order", "--n", "0", "--set", "0"), 0),
                     (("canon", "--n", "0", "--set", "0"), 0),

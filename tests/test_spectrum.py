@@ -2,11 +2,14 @@ import importlib
 import itertools
 from fractions import Fraction
 
+import math
+
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from znbases import enumerate_bases, order, spectrum, verify_conjecture
 from znbases.bounds import kl_bound
-from znbases.core import ZnSet, is_basis
+from znbases.core import ZnSet, divisors, is_basis
 
 from oracles import (
     all_subsets, burnside_basis_orbits, naive_order, naive_spectrum, small_exceeders,
@@ -200,6 +203,66 @@ def test_capped_search_agrees_with_capped_enumeration_above_n_18():
     assert rooted_above_1 > 0
 
 
+def test_capped_search_agrees_with_capped_enumeration_at_depth_6_and_8(monkeypatch):
+    # Deep enough for the quotient and sub-basis bounds to drop subtrees;
+    # the wrappers below check that both do, so the agreement covers them.
+    spectrum_module = importlib.import_module("znbases.spectrum")
+    fired = {"quotient": 0, "triple": 0}
+
+    def recording_order(a):
+        rho = order(a)
+        d = n // a.modulus
+        fired["quotient"] += d > 1 and (rho + d - 1) * k <= n
+        return rho
+
+    def recording_triple_order(m, x, y):
+        rho = triple_order(m, x, y)
+        fired["triple"] += rho * k <= n
+        return rho
+
+    triple_order = spectrum_module._triple_order
+    monkeypatch.setattr(spectrum_module, "order", recording_order)
+    monkeypatch.setattr(spectrum_module, "_triple_order", recording_triple_order)
+    for n, k, cap in ((24, 4, 6), (30, 4, 6), (36, 4, 6), (24, 5, 8)):
+        expected = {}
+        for a in enumerate_bases(n, max_card=cap):
+            rho = order(a)
+            if rho * k > n:
+                expected[a.mask] = rho
+        fired.update(quotient=0, triple=0)
+        report = verify_conjecture(n, k, max_card=cap, use_kl_cap=False)
+        assert {e.witness.mask: e.order for e in report.exceeders} == expected, (n, k)
+        assert fired["quotient"] > 0, (n, k)
+        if n == 36:
+            assert fired["triple"] > 0
+
+
+@st.composite
+def subgroup_sets_in_bases(draw):
+    """(n, d, A, B) with n <= 40: A holds 0, gcd(n, members of A) is the
+    proper divisor d > 1, and B is a basis of Z_n that contains A."""
+    n = draw(st.sampled_from([n for n in range(4, 41) if len(divisors(n)) > 2]))
+    d = draw(st.sampled_from(divisors(n)[1:-1]))
+    steps = draw(st.sets(st.integers(1, n // d - 1), min_size=1, max_size=5))
+    assume(math.gcd(n // d, *steps) == 1)
+    a = {0} | {d * s for s in steps}
+    b = a | draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=5))
+    assume(math.gcd(n, *b) == 1)
+    return n, d, a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(subgroup_sets_in_bases())
+@example((20, 2, {0, 2}, {0, 1, 2}))  # equality: 10 = 9 + 2 - 1
+def test_quotient_bound_on_bases_containing_a_subgroup_set(case):
+    # The bound the exceeder search drops subtrees by, against the
+    # plain-set oracle: order(B) <= order of A/d in Z_{n/d}, plus d - 1.
+    n, d, a, b = case
+    assert math.gcd(n, *a) == d
+    quotient_order = naive_order(n // d, {x // d for x in a})
+    assert naive_order(n, b) <= quotient_order + d - 1
+
+
 def test_conjecture_caveat_flag():
     assert not verify_conjecture(10, 2).completeness_caveat
     assert verify_conjecture(30, 3, max_card=6).completeness_caveat
@@ -258,10 +321,12 @@ def test_sharded_spectrum_enumerates_once(monkeypatch):
 def test_capped_search_calls_order_only_on_bases(monkeypatch):
     spectrum_module = importlib.import_module("znbases.spectrum")
     results = []
+    moduli = []
 
     def recording_order(a):
         rho = order(a)
         results.append(rho)
+        moduli.append(a.modulus)
         return rho
 
     monkeypatch.setattr(spectrum_module, "order", recording_order)
@@ -269,6 +334,10 @@ def test_capped_search_calls_order_only_on_bases(monkeypatch):
     assert report.exceeders
     assert None not in results
     # Carrying gcd(n, members) down the tree keeps order() off non-bases,
-    # rooting each set at its canonical second member visits it once, and
-    # sets with a pair gcd below that member are dropped unvisited.
-    assert len(results) == 388
+    # rooting each set at its canonical second member visits it once, sets
+    # with a pair gcd below that member are dropped unvisited, and children
+    # holding a basis triple of order <= n/k are dropped before order()
+    # runs.  A set in a proper subgroup dZ_60 with room to grow gets one
+    # order() call in Z_{60/d}, for the quotient bound.
+    assert moduli.count(60) == 89
+    assert len(moduli) - moduli.count(60) == 89
