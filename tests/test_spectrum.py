@@ -1,8 +1,7 @@
 import importlib
 import itertools
-from fractions import Fraction
-
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -261,6 +260,20 @@ def test_quotient_bound_on_bases_containing_a_subgroup_set(case):
     assert math.gcd(n, *a) == d
     quotient_order = naive_order(n // d, {x // d for x in a})
     assert naive_order(n, b) <= quotient_order + d - 1
+
+
+def test_quotient_bound_keeps_exceeders_at_its_edge():
+    # The first three members span 2Z_n, and half of them has order r in
+    # Z_{n/2} with r * k <= n < (r + 1) * k.  The search must grow them,
+    # because the exceeder above them needs the d - 1 = 1 extra step.
+    for n, k, members in ((90, 8, (0, 2, 12, 57)), (90, 7, (0, 2, 20, 65)),
+                          (126, 8, (0, 2, 26, 77))):
+        r = naive_order(n // 2, {x // 2 for x in members[:3]})
+        assert r * k <= n < (r + 1) * k
+        rho = naive_order(n, members)
+        assert rho * k > n
+        report = verify_conjecture(n, k, max_card=4)
+        assert {e.witness.members: e.order for e in report.exceeders}[members] == rho
 
 
 def test_conjecture_caveat_flag():
