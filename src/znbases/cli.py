@@ -244,7 +244,7 @@ def conjecture_cmd(k, n, n_range, max_card, limit, shards, no_kl_cap, fmt) -> No
                           use_kl_cap=not no_kl_cap)
         for m in moduli
     ]
-    if len(reports) == 1:
+    if n is not None:
         r = reports[0]
 
         def lines():

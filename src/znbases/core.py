@@ -84,7 +84,12 @@ class ZnSet:
             return cls(modulus, 0)
         mask = 0
         for tok in text.replace(";", ",").split(","):
-            m = int(tok.strip())
+            try:
+                m = int(tok)
+            except ValueError:
+                raise ValueError(
+                    f"residue {tok.strip()!r} in set literal {text!r} is not an integer"
+                ) from None
             if not 0 <= m < modulus:
                 raise ValueError(f"residue {m} out of range [0, {modulus})")
             bit = 1 << m

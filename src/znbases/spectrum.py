@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .affine import is_canonical, zero_based_images
 from .bounds import KlBoundBreakdown, kl_bound, min_gap_to_fractions
@@ -78,33 +78,6 @@ class ConjectureReport(NamedTuple):
     argmax_witness: ZnSet | None
 
 
-# The canonical second member.  Let A have at least two members and let g be
-# the least gcd(y - x, n) over its pairs; g is a proper divisor of n.  Then
-# the canonical form of A is {0, g} together with members all greater than
-# g.  Some image holds 0 and g (translate x to 0, then a unit carries y - x
-# to g).  An image holding 0 and some m with 0 < m < g would have a pair
-# with gcd(m, n) < g, but affine maps keep the gcd of every difference with
-# n.  Both capped searches visit only such sets, each at most once.
-
-
-def _capped_candidate_masks(n: int, max_card: int) -> Iterator[int]:
-    """Membership masks of the candidate subsets containing 0 with at most
-    max_card members: {0}, then by size, each size in combination order.
-    Only {0, g} plus members above g, for g a proper divisor of n, can be
-    canonical, so only those are yielded; the canonical ones among them come
-    in the order of a scan of every combination of range(1, n)."""
-    yield 1  # the singleton {0}
-    proper = divisors(n)[:-1]
-    for size in range(2, max_card + 1):
-        for g in proper:
-            root = 1 | 1 << g
-            for rest in itertools.combinations(range(g + 1, n), size - 2):
-                mask = root
-                for m in rest:
-                    mask |= 1 << m
-                yield mask
-
-
 # States of a 0-containing mask in the exhaustive walk, one byte per mask;
 # a fresh byte is 0, unseen.
 _NOT_CANONICAL, _PENDING = 1, 2
@@ -155,30 +128,30 @@ def enumerate_bases(
     2^(n-1) masks containing 0 with one byte of state per mask and generates
     each basis orbit once (see _exhaustive_bases); representatives come in
     ascending mask order.  Pass max_card to enumerate only orbits of
-    cardinality <= max_card; that mode tests each candidate with
-    is_canonical instead, since a state array of 2^(n-1) bytes cannot be
-    held at the moduli it serves.
+    cardinality <= max_card; that mode runs the pruned search of
+    _canonical_bases with floor 0, since a state array of 2^(n-1) bytes
+    cannot be held at the moduli it serves, and yields by size, each size
+    in lexicographic order of the members.
     """
+    _check_args(n, max_card)
+    if max_card is not None:
+        found = _canonical_bases(n, 0, max_card, 1)
+        for mask in sorted(found, key=lambda m: (m.bit_count(), ZnSet(n, m).members)):
+            yield ZnSet(n, mask)
+        return
+    if n > limit:
+        raise ValueError(
+            f"exhaustive enumeration is limited to n <= {limit}; "
+            f"use a cardinality cap for n = {n}"
+        )
+    yield from _exhaustive_bases(n)
+
+
+def _check_args(n: int, max_card: int | None, shards: int = 1) -> None:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    if max_card is None:
-        if n > limit:
-            raise ValueError(
-                f"exhaustive enumeration is limited to n <= {limit}; "
-                f"use a cardinality cap for n = {n}"
-            )
-    elif not 1 <= max_card <= n:
+    if max_card is not None and not 1 <= max_card <= n:
         raise ValueError(f"max_card must be in [1, {n}], got {max_card}")
-    if max_card is None:
-        yield from _exhaustive_bases(n)
-        return
-    for mask in _capped_candidate_masks(n, max_card):
-        a = ZnSet(n, mask)
-        if is_canonical(a) and is_basis(a):
-            yield a
-
-
-def _check_shards(shards: int) -> None:
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
 
@@ -191,12 +164,11 @@ def _by_shard(items: list, shards: int) -> Iterator:
         yield from items[shard::shards]
 
 
-def _basis_orders(
-    n: int, max_card: int | None, limit: int, shards: int
-) -> Iterator[tuple[ZnSet, int]]:
-    """Every basis orbit representative with its order.  The enumeration
-    runs once; only the order computations are split into shards."""
-    reps = list(enumerate_bases(n, max_card, limit))
+def _basis_orders(n: int, limit: int, shards: int) -> Iterator[tuple[ZnSet, int]]:
+    """Every basis orbit representative of Z_n (n <= limit) with its order.
+    The enumeration runs once; only the order computations are split into
+    shards."""
+    reps = list(enumerate_bases(n, None, limit))
     for rep in _by_shard(reps, shards):
         rho = order(rep)
         if rho is None:
@@ -226,9 +198,14 @@ def spectrum(
     shards: int = 1,
 ) -> SpectrumReport:
     """Achieved-order spectrum of Z_n with gap runs and per-order witnesses."""
-    _check_shards(shards)
+    _check_args(n, max_card, shards)
+    if max_card is None:
+        orders = _basis_orders(n, limit, shards)
+    else:
+        found = _canonical_bases(n, 0, max_card, shards)
+        orders = ((ZnSet(n, mask), rho) for mask, rho in found.items())
     witness: dict[int, ZnSet] = {}
-    for rep, rho in _basis_orders(n, max_card, limit, shards):
+    for rep, rho in orders:
         cur = witness.get(rho)
         if cur is None or canonical_sort_key(rep) < canonical_sort_key(cur):
             witness[rho] = rep
@@ -252,33 +229,40 @@ def check_kl_bound(
     report.rho, and how many of them have more than report.bound elements.
     """
     checked = violations = 0
-    for rep, rho in _basis_orders(report.n, None, limit, 1):
+    for rep, rho in _basis_orders(report.n, limit, 1):
         if rho >= report.rho:
             checked += 1
             violations += len(rep) > report.bound
     return checked, violations
 
 
-# -- threshold-exceeder search (cardinality-capped conjecture runs) -----------
+# -- the pruned search (every cardinality-capped run) ------------------------
+#
+# The canonical second member.  Let A have at least two members and let g be
+# the least gcd(y - x, n) over its pairs; g is a proper divisor of n.  Then
+# the canonical form of A is {0, g} together with members all greater than
+# g.  Some image holds 0 and g (translate x to 0, then a unit carries y - x
+# to g).  An image holding 0 and some m with 0 < m < g would have a pair
+# with gcd(m, n) < g, but affine maps keep the gcd of every difference with
+# n.  So every canonical set of three or more members is {0, g, y} plus
+# members above y, with g a proper divisor of n and y > g, and the only
+# canonical 2-element basis is {0, 1}.  The search roots at those triples
+# and that pair, and adds later members in increasing order, so it reaches
+# each set once and keeps the canonical bases.
+#
+# Under a root {0, g, y} with g > 1, a set holding a pair with gcd(z - x, n)
+# below g has least pair gcd below g, so its canonical second member is
+# below g and it is not canonical.  Adding members only lowers that gcd, so
+# no set grown from it is canonical either: the search drops it unvisited.
+# The parent passed this test, so only pairs holding the new member are
+# checked.
 #
 # Adding an element to a set never increases its order (the h-fold sumsets
-# only grow), so a subset whose order is finite and <= n/k cannot extend to
-# a basis of order > n/k: its whole supertree is pruned.  Subsets of order
-# infinity must still be expanded.  Every searched set holds 0, so it has
-# finite order exactly when the gcd of n and its members is 1; the search
-# carries that gcd down the tree and calls order() only when it is 1.
-#
-# By the lemma above _capped_candidate_masks, every canonical set of three or
-# more members is {0, g, y} plus members above y, with g a proper divisor of
-# n and y > g, and the only canonical 2-element basis is {0, 1}.  The search
-# roots at those triples and that pair, and adds later members in increasing
-# order, so it reaches each set once and keeps the canonical exceeders.
-# Under a root {0, g, y} with g > 1, a set holding a pair with gcd(z - x, n)
-# below g has least pair gcd below g, so by the same lemma its canonical
-# second member is below g and it is not canonical.  Adding members only
-# lowers that gcd, so no set grown from it is canonical either: the search
-# drops it unvisited.  The parent passed this test, so only pairs holding
-# the new member are checked.
+# only grow), so a subset whose order is finite and <= floor cannot extend
+# to a basis of order > floor: its whole supertree is pruned.  Subsets of
+# order infinity must still be expanded.  Every searched set holds 0, so it
+# has finite order exactly when the gcd of n and its members is 1; the
+# search carries that gcd down the tree and calls order() only when it is 1.
 #
 # The quotient bound.  Let A hold 0 and let d = gcd(n, members of A) > 1, so
 # A lies in H = dZ_n and A/d is a basis of Z_{n/d}; with r its order there,
@@ -286,34 +270,30 @@ def check_kl_bound(
 # that holds 0 and generates Z_d.  Its h-fold sums grow by at least one
 # residue per step until they fill Z_d, so (d - 1)B meets every coset of H,
 # and (d - 1)B + rA, which lies in (d - 1 + r)B, is all of Z_n.  Hence
-# order(B) <= r + d - 1, and when (r + d - 1) * k <= n no set grown from A
-# is an exceeder: the search drops A's subtree.
+# order(B) <= r + d - 1, and when r + d - 1 <= floor no set grown from A is
+# kept: the search drops A's subtree.  The bound is at least d, so it is
+# only computed when d <= floor.
 #
 # The sub-basis bound.  If T is a basis inside A, then hT lies in hA, so
 # order(A) <= order(T), and the same holds for every set grown from A.  A
-# child of four or more members with a basis triple of order <= n/k is
+# child of four or more members with a basis triple of order <= floor is
 # dropped before order() runs on it.  A basis triple without the new member
-# lies in the parent, whose order was above n/k, so only triples holding the
-# new member are checked.
+# lies in the parent, whose order was above floor, so only triples holding
+# the new member are checked.  A triple T has |hT| <= C(h + 2, 2), so its
+# order is at least the least h with C(h + 2, 2) >= n; below that floor the
+# check cannot fire and is skipped.
 
 
-def _exceeder_tasks(n: int) -> list[tuple[int, int | None]]:
-    """The root tasks: (1, None) for the pair {0, 1}, then (g, y) for each
-    root {0, g, y}."""
-    tasks: list[tuple[int, int | None]] = [(1, None)]
-    for g in divisors(n)[:-1]:
-        tasks.extend((g, y) for y in range(g + 1, n))
-    return tasks
+def _canonical_bases(n: int, floor: int, cap: int, shards: int) -> dict[int, int]:
+    """{canonical mask: order} for every basis orbit of Z_n with order above
+    floor and at most cap members.
 
-
-def _search_exceeders(
-    n: int, k: int, cap: int, tasks: Iterable[tuple[int, int | None]]
-) -> dict[int, int]:
-    """Run the pruned search over the given root tasks.
-
-    Returns {canonical mask: order} for every found basis orbit with
-    order * k > n and cardinality <= cap.
+    The root triples {0, g, y} are split into shards by position (see
+    _by_shard).
     """
+    if n == 1:
+        return {1: 1} if floor < 1 else {}  # {0} is a basis of order 1
+    check_triples = math.comb(floor + 2, 2) >= n  # else every triple order > floor
     found: dict[int, int] = {}
 
     def extend(a: ZnSet, z: int, span: int, g: int) -> None:
@@ -323,23 +303,23 @@ def _search_exceeders(
             return  # never canonical, nor is any set grown from it
         a = a.insert(z)
         span = math.gcd(span, z)
-        if span > 1 and len(a) < cap:
+        if 1 < span <= floor and len(a) < cap:
             quotient = ZnSet.from_members(n // span, (x // span for x in a))
-            if (order(quotient) + span - 1) * k <= n:
+            if order(quotient) + span - 1 <= floor:
                 return  # the quotient bound caps every set grown from a
         if span == 1:
             rest = a.members[:-1]  # z is the largest member
-            if len(rest) >= 3 and any(
+            if check_triples and len(rest) >= 3 and any(
                 math.gcd(n, y - x, z - x) == 1
-                and _triple_order(n, y - x, z - x) * k <= n
+                and _triple_order(n, y - x, z - x) <= floor
                 for x, y in itertools.combinations(rest, 2)
             ):
                 return  # a basis triple caps a and every set grown from it
             rho = order(a)
             if rho is None:
                 raise RuntimeError(f"{a!r} generates Z_{n} but has infinite order")
-            if rho * k <= n:
-                return  # no superset can climb back above n/k
+            if rho <= floor:
+                return  # no superset can climb back above floor
             if is_canonical(a):
                 found[a.mask] = rho
         if len(a) >= cap:
@@ -347,14 +327,14 @@ def _search_exceeders(
         for w in range(z + 1, n):
             extend(a, w, span, g)
 
-    for g, y in tasks:
-        pair = ZnSet.from_members(n, {0, g})
-        if y is None and cap >= 2:
-            rho = order(pair)
-            if rho * k > n:
-                found[pair.mask] = rho
-        elif y is not None and cap >= 3:
-            extend(pair, y, g, g)
+    if cap >= 2:
+        rho = order(ZnSet(n, 0b11))  # the pair {0, 1}
+        if rho > floor:
+            found[0b11] = rho
+    if cap >= 3:
+        roots = [(g, y) for g in divisors(n)[:-1] for y in range(g + 1, n)]
+        for g, y in _by_shard(roots, shards):
+            extend(ZnSet(n, 1 | 1 << g), y, g, g)
     return found
 
 
@@ -376,13 +356,9 @@ def verify_conjecture(
     to the exact bound for orders above n/k, which shrinks the search without
     changing its result.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    _check_args(n, max_card, shards)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if max_card is not None and not 1 <= max_card <= n:
-        raise ValueError(f"max_card must be in [1, {n}], got {max_card}")
-    _check_shards(shards)
 
     mode = "exhaustive" if max_card is None else "card_capped"
     kl_cap: int | None = None
@@ -395,21 +371,16 @@ def verify_conjecture(
             max_min_gap=Fraction(0), argmax_witness=None,
         )
 
-    found: dict[int, int] = {}
-    if n == 1:
-        found[1] = 1  # {0} is a basis of order 1 > 1/k
-    elif max_card is None:
-        for rep, rho in _basis_orders(n, None, limit, shards):
-            if rho * k > n:
-                found[rep.mask] = rho
+    floor = n // k  # rho > n/k exactly when rho > floor
+    if max_card is None:
+        found = {rep.mask: rho for rep, rho in _basis_orders(n, limit, shards)
+                 if rho > floor}
     else:
         cap = max_card
-        threshold = n // k + 1
-        if use_kl_cap and 2 <= threshold <= n - 1:
-            kl_cap = kl_bound(n, threshold).bound
+        if use_kl_cap and 1 <= floor <= n - 2:
+            kl_cap = kl_bound(n, floor + 1).bound
             cap = min(cap, max(kl_cap, 2))
-        tasks = _by_shard(_exceeder_tasks(n), shards)
-        found = _search_exceeders(n, k, cap, tasks)
+        found = _canonical_bases(n, floor, cap, shards)
 
     exceeders = []
     for mask in sorted(found, key=lambda m: canonical_sort_key(ZnSet(n, m))):

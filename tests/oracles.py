@@ -2,12 +2,18 @@
 
 These deliberately share no code with the package kernel: plain Python sets,
 no bit masks, no 0-translation, no stabilization detection, no doubling.
+The one exception is rooted_canonical_bases, which uses the package's
+canonicality and basis tests but none of its search.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+
+from znbases.affine import is_canonical
+from znbases.core import ZnSet, is_basis
+
 
 def naive_order(n: int, members) -> int | None:
     """Least h with hA = Z_n by recomputing each level from the definition.
@@ -77,6 +83,26 @@ def small_exceeders(n: int, k: int) -> dict[tuple[int, ...], int]:
             )
             found[tuple(r for r in range(n) if best[r] == 0)] = rho
     return found
+
+
+def rooted_canonical_bases(n: int, max_card: int):
+    """The canonical basis representatives of Z_n with at most max_card
+    members, by a scan of candidates: {0}, then by size, {0, g} plus members
+    above g for each proper divisor g of n, in combination order.  A
+    candidate is kept when is_canonical and is_basis accept it.
+
+    No other set can be canonical: the least gcd(y - x, n) over the pairs of
+    a set is a proper divisor g of n, and its canonical form is {0, g} plus
+    members above g (see the comment above znbases.spectrum._canonical_bases).
+    """
+    proper = [g for g in range(1, n) if n % g == 0]
+    candidates = itertools.chain([ZnSet(n, 1)], (
+        ZnSet.from_members(n, (0, g, *rest))
+        for size in range(2, max_card + 1)
+        for g in proper
+        for rest in itertools.combinations(range(g + 1, n), size - 2)
+    ))
+    return [a for a in candidates if is_canonical(a) and is_basis(a)]
 
 
 def naive_h_fold(n: int, members, h: int) -> set[int]:

@@ -58,6 +58,22 @@ def test_conjecture_cap_out_of_range_exits_2_before_the_trivial_cases():
         assert f"max_card must be in [1, {n}], got {cap}" in res.stderr
 
 
+def test_spectrum_cap_out_of_range_exits_2():
+    for cap in ("0", "6", "9"):
+        res = run("spectrum", "--n", "5", "--max-card", cap)
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert f"max_card must be in [1, 5], got {cap}" in res.stderr
+
+
+def test_bad_set_token_is_named_with_its_literal():
+    for text, token in ((",,", ""), ("1,x", "x"), ("0, 2.5", "2.5")):
+        res = run("order", "--n", "5", "--set", text)
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert f"residue {token!r} in set literal {text!r} is not an integer" in res.stderr
+
+
 def test_nonpositive_modulus_is_named_before_the_residues():
     for args, n in ((("order", "--n", "0", "--set", "0"), 0),
                     (("canon", "--n", "0", "--set", "0"), 0),
@@ -95,6 +111,20 @@ def test_conjecture_range_csv():
     assert lines[0] == "n,k,max_min_gap,running_max,argmax_witness,caveat"
     assert len(lines) == 6
     assert all(line.endswith("true") for line in lines[1:])  # capped => caveat
+
+
+def test_one_modulus_range_renders_as_a_sweep():
+    # the renderer follows the flag given, not the number of moduli
+    res = run("conjecture", "--k", "3", "--n-range", "5..5", "--format", "json")
+    payload = json.loads(res.output)
+    assert payload["k"] == 3 and [r["n"] for r in payload["reports"]] == [5]
+    assert payload["running_max"] == [{"n": 5, "value": "1"}]
+    res = run("conjecture", "--k", "3", "--n-range", "5..5", "--format", "csv")
+    assert res.output.splitlines() == [
+        "n,k,max_min_gap,running_max,argmax_witness,caveat", "5,3,1,1,0;1,false",
+    ]
+    res = run("conjecture", "--k", "3", "--n-range", "5..5")
+    assert res.output.splitlines()[0] == "order > n/3 gap sweep:"
 
 
 def test_kl_bound_output():

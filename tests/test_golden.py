@@ -1,7 +1,7 @@
 """Golden CLI gate: every run in golden.json must reproduce its exit code and
 stdout byte for byte.
 
-golden.json holds the argv, exit code and stdout of 225 runs.  Captured
+golden.json holds the argv, exit code and stdout of 228 runs.  Captured
 before the report codec and the CLI renderer were rewritten: ``--version``,
 every ``--help``, all 11 commands in table, json and csv, shard counts 1, 2,
 3 and 5, and a few usage errors (exit 2, empty stdout).  Captured before the
@@ -20,7 +20,10 @@ after a fix, since the earlier output was wrong: ``conjecture --k 2 --n 7
 pruned by the subgroup quotient and by basis triples, the first runs that
 search deeper than four members: ``conjecture --k 4 --max-card 6 --n 120``
 in json (20 exceeders, Klopsch-Lev cap 6) and ``conjecture --k 5
---max-card 8 --n 60`` as a table (70 exceeders, cap 8).  A legitimate output change must be made in
+--max-card 8 --n 60`` as a table (70 exceeders, cap 8).  Captured after a
+fix, since the earlier output used the single-modulus layout: ``conjecture
+--k 3 --n-range 60..60 --max-card 6`` in all three formats, a one-modulus
+range rendered as a sweep.  A legitimate output change must be made in
 golden.json in the same change, run by run.
 """
 

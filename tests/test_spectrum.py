@@ -11,7 +11,8 @@ from znbases.bounds import kl_bound
 from znbases.core import ZnSet, divisors, is_basis
 
 from oracles import (
-    all_subsets, burnside_basis_orbits, naive_order, naive_spectrum, small_exceeders,
+    all_subsets, burnside_basis_orbits, naive_order, naive_spectrum,
+    rooted_canonical_bases, small_exceeders,
 )
 
 
@@ -139,6 +140,12 @@ def test_capped_spectrum_is_subset_and_agrees_above_threshold():
                 }, (n, cap)
 
 
+def test_capped_spectrum_refuses_a_cap_outside_1_to_n():
+    for cap in (0, 6, 9):
+        with pytest.raises(ValueError, match=r"max_card must be in \[1, 5\]"):
+            spectrum(5, max_card=cap)
+
+
 def test_spectrum_shard_independence():
     for shards in (2, 3, 8):
         assert spectrum(11, shards=shards) == spectrum(11)
@@ -183,13 +190,13 @@ def test_capped_search_finds_exceeders_rooted_above_residue_1():
 
 
 def test_capped_search_agrees_with_capped_enumeration_above_n_18():
-    # The capped enumeration never runs the exceeder search, so it is an
-    # independent check of the search, its roots and its canonicity prune.
+    # The rooted candidate scan of tests/oracles.py runs no search, so it is
+    # an independent check of the search, its roots and its canonicity prune.
     # k = 5 adds exceeders such as {0,2,5,10} at n = 30, whose pair 2, 10
     # has gcd(8, 30) equal to the second member; the prune must keep them.
     rooted_above_1 = 0
     for n in (24, 30, 36, 42, 48, 60):
-        bases = list(enumerate_bases(n, max_card=4))
+        bases = rooted_canonical_bases(n, 4)
         for k in (3, 4, 5):
             expected = {}
             for a in bases:
@@ -224,7 +231,7 @@ def test_capped_search_agrees_with_capped_enumeration_at_depth_6_and_8(monkeypat
     monkeypatch.setattr(spectrum_module, "_triple_order", recording_triple_order)
     for n, k, cap in ((24, 4, 6), (30, 4, 6), (36, 4, 6), (24, 5, 8)):
         expected = {}
-        for a in enumerate_bases(n, max_card=cap):
+        for a in rooted_canonical_bases(n, cap):
             rho = order(a)
             if rho * k > n:
                 expected[a.mask] = rho
@@ -234,6 +241,36 @@ def test_capped_search_agrees_with_capped_enumeration_at_depth_6_and_8(monkeypat
         assert fired["quotient"] > 0, (n, k)
         if n == 36:
             assert fired["triple"] > 0
+
+
+def test_capped_enumeration_skips_the_order_bounds(monkeypatch):
+    # At floor 0 neither bound can drop a set: the quotient bound is at
+    # least d > 0, and a triple's order is at least 1.  So enumerate_bases
+    # with a cap calls order() only on bases of Z_n and never _triple_order,
+    # and a capped spectrum makes no order() call beyond the search's own.
+    spectrum_module = importlib.import_module("znbases.spectrum")
+    moduli, triples = [], []
+
+    def recording_order(a):
+        moduli.append(a.modulus)
+        return order(a)
+
+    def recording_triple_order(*args):
+        triples.append(args)
+        return triple_order(*args)
+
+    triple_order = spectrum_module._triple_order
+    monkeypatch.setattr(spectrum_module, "order", recording_order)
+    monkeypatch.setattr(spectrum_module, "_triple_order", recording_triple_order)
+    for n, cap in ((24, 6), (36, 5)):
+        moduli.clear()
+        reps = list(enumerate_bases(n, max_card=cap))
+        assert set(moduli) == {n} and len(moduli) >= len(reps), (n, cap)
+        assert triples == [], (n, cap)
+        calls = len(moduli)
+        moduli.clear()
+        spectrum(n, max_card=cap)
+        assert len(moduli) == calls, (n, cap)
 
 
 @st.composite
