@@ -270,13 +270,17 @@ class FamilyRecord(NamedTuple):
 
 
 def min_gap_to_fractions(rho: int, n: int, k: int) -> tuple[int, Fraction]:
-    """argmin l in [1, k] and min value of |rho - n/l|; smallest l on ties."""
-    best_l, best = 1, abs(rho - Fraction(n, 1))
+    """argmin l in [1, k] and min value of |rho - n/l|; smallest l on ties.
+
+    The gaps |rho*l - n| / l are compared by integer cross-multiplication;
+    only the least one becomes a Fraction.
+    """
+    best_l, best = 1, abs(rho - n)
     for l in range(2, k + 1):
-        gap = abs(rho - Fraction(n, l))
-        if gap < best:
+        gap = abs(rho * l - n)
+        if gap * best_l < best * l:
             best_l, best = l, gap
-    return best_l, best
+    return best_l, Fraction(best, best_l)
 
 
 def lower_bound_family(k: int, n_range: tuple[int, int]) -> list[FamilyRecord]:
@@ -290,8 +294,11 @@ def lower_bound_family(k: int, n_range: tuple[int, int]) -> list[FamilyRecord]:
         raise ValueError(f"k must be >= 2, got {k}")
     lo, hi = n_range
     records = []
-    form_a = (k - 2) + Fraction(1, k)
-    form_b = (k - 3) + Fraction(1, k)
+    # (k-2) + 1/k and (k-3) + 1/k over the denominator k; both numerators
+    # are 1 mod k, so the forms are reduced and a gap equals one exactly
+    # when its reduced denominator is k and the numerators agree.
+    form_a = (k - 1) ** 2
+    form_b = form_a - k
     for n in range(max(lo, k + 1), hi + 1):
         if n % k != k - 1:
             continue
@@ -299,6 +306,7 @@ def lower_bound_family(k: int, n_range: tuple[int, int]) -> list[FamilyRecord]:
         if rho is None:  # {0, 1, k} always generates
             raise RuntimeError(f"{{0,1,{k}}} has infinite order in Z_{n}")
         nearest_l, min_gap = min_gap_to_fractions(rho, n, k)
+        num = min_gap.numerator if min_gap.denominator == k else None
         records.append(
             FamilyRecord(
                 k=k,
@@ -306,8 +314,8 @@ def lower_bound_family(k: int, n_range: tuple[int, int]) -> list[FamilyRecord]:
                 rho=rho,
                 nearest_l=nearest_l,
                 min_gap=min_gap,
-                matches_k_minus_2_form=min_gap == form_a,
-                matches_k_minus_3_form=min_gap == form_b,
+                matches_k_minus_2_form=num == form_a,
+                matches_k_minus_3_form=num == form_b,
             )
         )
     return records

@@ -74,18 +74,23 @@ def _emit(fmt: str, payload, sections, lines) -> None:
     """Print a command's result in the chosen format; only that one is built.
 
     payload() gives the JSON value, sections() the CSV sections as
-    (header, rows) pairs, and lines() the table lines.
+    (header, rows) pairs, and lines() the table lines.  Lines go to the
+    buffered stdout one at a time, flushed once at the end, so a long table
+    costs neither a write per line nor one string of the whole output; a
+    closed pipe still raises here, where click's main turns it into exit 1.
     """
+    write = sys.stdout.write  # looked up per call: CliRunner swaps sys.stdout
     if fmt == "json":
-        click.echo(json.dumps(encode(payload()), indent=2, sort_keys=True))
+        write(json.dumps(encode(payload()), indent=2, sort_keys=True) + "\n")
     elif fmt == "csv":
         for header, rows in sections():
-            click.echo(header)
+            write(header + "\n")
             for row in rows:
-                click.echo(",".join(_cell(v) for v in row))
+                write(",".join(_cell(v) for v in row) + "\n")
     else:
         for line in lines():
-            click.echo(line)
+            write(line + "\n")
+    sys.stdout.flush()
 
 
 def _parse_range(text: str) -> tuple[int, int]:

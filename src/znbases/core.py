@@ -192,7 +192,15 @@ class IntSet:
         toks = [t.strip() for t in text.replace(";", ",").split(",") if t.strip()]
         if not toks:
             raise ValueError("empty integer set literal")
-        return cls(tuple(int(t) for t in toks))
+        members = []
+        for tok in toks:
+            try:
+                members.append(int(tok))
+            except ValueError:
+                raise ValueError(
+                    f"member {tok!r} in set literal {text.strip()!r} is not an integer"
+                ) from None
+        return cls(tuple(members))
 
     @property
     def span(self) -> int:
@@ -253,10 +261,9 @@ def format_order(order: int | None) -> str:
 
 
 def format_fraction(value: Fraction | int) -> str:
-    f = Fraction(value)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    # a Fraction and an int both carry numerator and denominator
+    num, den = value.numerator, value.denominator
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def encode(value):

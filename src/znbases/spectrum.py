@@ -121,8 +121,9 @@ def enumerate_bases(
     max_card: int | None = None,
     limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
 ) -> Iterator[ZnSet]:
-    """Yield exactly one representative (the canonical form) per affine orbit
-    of bases of Z_n.
+    """Iterate over exactly one representative (the canonical form) per
+    affine orbit of bases of Z_n.  The arguments are checked at the call,
+    before the iterator is returned.
 
     Exhaustive mode (max_card None) requires n <= limit.  It walks all
     2^(n-1) masks containing 0 with one byte of state per mask and generates
@@ -130,21 +131,20 @@ def enumerate_bases(
     ascending mask order.  Pass max_card to enumerate only orbits of
     cardinality <= max_card; that mode runs the pruned search of
     _canonical_bases with floor 0, since a state array of 2^(n-1) bytes
-    cannot be held at the moduli it serves, and yields by size, each size
-    in lexicographic order of the members.
+    cannot be held at the moduli it serves, at the call, and yields by
+    size, each size in lexicographic order of the members.
     """
     _check_args(n, max_card)
     if max_card is not None:
         found = _canonical_bases(n, 0, max_card, 1)
-        for mask in sorted(found, key=lambda m: (m.bit_count(), ZnSet(n, m).members)):
-            yield ZnSet(n, mask)
-        return
+        masks = sorted(found, key=lambda m: (m.bit_count(), ZnSet(n, m).members))
+        return (ZnSet(n, mask) for mask in masks)
     if n > limit:
         raise ValueError(
             f"exhaustive enumeration is limited to n <= {limit}; "
             f"use a cardinality cap for n = {n}"
         )
-    yield from _exhaustive_bases(n)
+    return _exhaustive_bases(n)
 
 
 def _check_args(n: int, max_card: int | None, shards: int = 1) -> None:

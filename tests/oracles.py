@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 from znbases.affine import is_canonical
 from znbases.core import ZnSet, is_basis
@@ -103,6 +104,14 @@ def rooted_canonical_bases(n: int, max_card: int):
         for rest in itertools.combinations(range(g + 1, n), size - 2)
     ))
     return [a for a in candidates if is_canonical(a) and is_basis(a)]
+
+
+def naive_min_gap(rho: int, n: int, k: int) -> tuple[int, Fraction]:
+    """(l, |rho - n/l|) for the l in [1, k] whose n/l lies nearest rho, the
+    smallest such l on ties, by plain Fraction arithmetic."""
+    gaps = [abs(rho - Fraction(n, l)) for l in range(1, k + 1)]
+    best = min(gaps)
+    return gaps.index(best) + 1, best
 
 
 def naive_h_fold(n: int, members, h: int) -> set[int]:

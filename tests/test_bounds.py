@@ -13,10 +13,10 @@ from znbases import (
     sandwich_bounds,
     witness_order_bound,
 )
-from znbases.bounds import int_sumset_sizes
+from znbases.bounds import int_sumset_sizes, min_gap_to_fractions
 from znbases.core import IntSet
 
-from oracles import naive_order
+from oracles import naive_min_gap, naive_order
 
 
 def test_kl_bound_spec_examples():
@@ -176,3 +176,25 @@ def test_family_orders_match_naive_oracle():
     for k in (3, 4):
         for rec in lower_bound_family(k, (5 * k + 1, 60)):
             assert rec.rho == naive_order(rec.n, {0, 1, k}), rec
+
+
+def test_min_gap_agrees_with_the_fraction_oracle():
+    # integer cross-multiplication, smallest l on ties, one Fraction out
+    for n in range(1, 81):
+        for k in range(2, 9):
+            for rho in range(1, n + 1):
+                l, gap = min_gap_to_fractions(rho, n, k)
+                assert isinstance(gap, Fraction)
+                assert (l, gap) == naive_min_gap(rho, n, k), (rho, n, k)
+
+
+def test_family_form_flags_agree_with_fraction_equality():
+    seen = set()
+    for k in range(2, 9):
+        form_a = (k - 2) + Fraction(1, k)
+        form_b = (k - 3) + Fraction(1, k)
+        for rec in lower_bound_family(k, (1, 2000)):
+            flags = (rec.matches_k_minus_2_form, rec.matches_k_minus_3_form)
+            assert flags == (rec.min_gap == form_a, rec.min_gap == form_b), rec
+            seen.add(flags)
+    assert {(True, False), (False, True), (False, False)} <= seen

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from click.testing import CliRunner
 
+import znbases
 from znbases.cli import main
 
 
@@ -72,6 +77,15 @@ def test_bad_set_token_is_named_with_its_literal():
         assert res.exit_code == 2
         assert res.stdout == ""
         assert f"residue {token!r} in set literal {text!r} is not an integer" in res.stderr
+
+
+def test_bad_integer_set_token_is_named_with_its_literal():
+    for text, token in (("0,x", "x"), ("0, 2.5,3", "2.5")):
+        res = run("fl-check", "--set", text, "--h-max", "3")
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert f"member {token!r} in set literal {text!r} is not an integer" in res.stderr
+        assert "invalid literal" not in res.stderr
 
 
 def test_nonpositive_modulus_is_named_before_the_residues():
@@ -200,3 +214,24 @@ def test_version_mentions_schema():
     res = run("--version")
     assert res.exit_code == 0
     assert "schema" in res.output
+
+
+def test_family_table_through_a_real_pipe():
+    # Output of ~9,500 rows, far past a pipe's buffer: read to the end it
+    # equals the in-process output; when the reader leaves after one line,
+    # the broken pipe ends the run with exit 1 and nothing on stderr.
+    args = ("family", "--k", "3", "--n-range", "1501..30000")
+    src = str(Path(znbases.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    cmd = [sys.executable, "-m", "znbases.cli", *args]
+    full = subprocess.run(cmd, capture_output=True, env=env, timeout=120)
+    assert (full.returncode, full.stderr) == (0, b"")
+    assert full.stdout == run(*args).stdout_bytes
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
+    assert first == full.stdout.split(b"\n", 1)[0] + b"\n"

@@ -48,17 +48,30 @@ def test_exhaustive_enumeration_yields_the_canonicality_scan():
     for n in range(1, 14):
         candidates = [ZnSet(n, mask) for mask in range(1, 1 << n, 2)]
         assert list(enumerate_bases(n)) == scan(candidates), n
-    for n in range(1, 25):
+    for n, top in [*((n, min(n, 4)) for n in range(1, 25)), (30, 3)]:
         candidates = [ZnSet(n, 1)] + [
             ZnSet.from_members(n, (0, *combo))
-            for size in range(1, min(n, 4))
+            for size in range(1, top)
             for combo in itertools.combinations(range(1, n), size)
         ]
         expected = scan(candidates)
-        for max_card in range(1, min(n, 4) + 1):
+        for max_card in range(1, top + 1):
             assert list(enumerate_bases(n, max_card=max_card)) == [
                 a for a in expected if len(a) <= max_card
             ], (n, max_card)
+    # Below n = 30 no canonical basis has a second member g > 1; at n = 30,
+    # {0,2,5} is rooted at g = 2, so a search that lost such roots fails.
+    assert ZnSet.from_members(30, (0, 2, 5)) in expected
+
+
+def test_enumerate_bases_checks_its_arguments_when_called():
+    # refused at the call, before any next() on the returned iterator
+    with pytest.raises(ValueError, match="n must be positive"):
+        enumerate_bases(0)
+    with pytest.raises(ValueError, match="limited to n <= 20"):
+        enumerate_bases(25)
+    with pytest.raises(ValueError, match="max_card must be in"):
+        enumerate_bases(7, max_card=0)
 
 
 def test_shard_count_below_one_is_refused():
