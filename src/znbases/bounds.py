@@ -299,9 +299,8 @@ def lower_bound_family(k: int, n_range: tuple[int, int]) -> list[FamilyRecord]:
     # when its reduced denominator is k and the numerators agree.
     form_a = (k - 1) ** 2
     form_b = form_a - k
-    for n in range(max(lo, k + 1), hi + 1):
-        if n % k != k - 1:
-            continue
+    first = max(lo, k + 1)
+    for n in range(first + (k - 1 - first) % k, hi + 1, k):
         rho = order(ZnSet.from_members(n, {0, 1, k}))
         if rho is None:  # {0, 1, k} always generates
             raise RuntimeError(f"{{0,1,{k}}} has infinite order in Z_{n}")

@@ -139,8 +139,8 @@ class ZnSet:
         full = (1 << n) - 1
         return ZnSet(n, (self.mask << s | self.mask >> (n - s)) & full)
 
-    def to_text(self, sep: str = ",") -> str:
-        return sep.join(str(m) for m in self)
+    def to_text(self) -> str:
+        return ",".join(str(m) for m in self)
 
     def _check_modulus(self, other: ZnSet) -> None:
         if self.modulus != other.modulus:
@@ -221,9 +221,6 @@ class IntSet:
         if math.gcd(*self.members) != 1:
             return "gcd of members must be 1"
         return None
-
-    def to_text(self, sep: str = ",") -> str:
-        return sep.join(str(m) for m in self.members)
 
 
 def is_basis(a: ZnSet) -> bool:

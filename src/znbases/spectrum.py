@@ -164,16 +164,29 @@ def _by_shard(items: list, shards: int) -> Iterator:
         yield from items[shard::shards]
 
 
-def _basis_orders(n: int, limit: int, shards: int) -> Iterator[tuple[ZnSet, int]]:
-    """Every basis orbit representative of Z_n (n <= limit) with its order.
-    The enumeration runs once; only the order computations are split into
-    shards."""
-    reps = list(enumerate_bases(n, None, limit))
-    for rep in _by_shard(reps, shards):
-        rho = order(rep)
-        if rho is None:
-            raise RuntimeError(f"enumerated basis {rep!r} has infinite order")
-        yield rep, rho
+def _bases_above(
+    n: int, floor: int, max_card: int | None, limit: int, shards: int
+) -> list[tuple[ZnSet, int]]:
+    """(representative, order) for every basis orbit of Z_n with order above
+    floor, sorted by canonical_sort_key.
+
+    Uncapped (max_card None) runs the orderly walk, which needs n <= limit;
+    the walk runs once and only the order computations are split into
+    shards.  Capped runs the pruned search of _canonical_bases.
+    """
+    if max_card is None:
+        found = []
+        for rep in _by_shard(list(enumerate_bases(n, None, limit)), shards):
+            rho = order(rep)
+            if rho is None:
+                raise RuntimeError(f"enumerated basis {rep!r} has infinite order")
+            if rho > floor:
+                found.append((rep, rho))
+    else:
+        found = [(ZnSet(n, mask), rho) for mask, rho
+                 in _canonical_bases(n, floor, max_card, shards).items()]
+    found.sort(key=lambda pair: canonical_sort_key(pair[0]))
+    return found
 
 
 def _gap_runs(achieved: set[int], n: int) -> tuple[tuple[int, int], ...]:
@@ -199,16 +212,9 @@ def spectrum(
 ) -> SpectrumReport:
     """Achieved-order spectrum of Z_n with gap runs and per-order witnesses."""
     _check_args(n, max_card, shards)
-    if max_card is None:
-        orders = _basis_orders(n, limit, shards)
-    else:
-        found = _canonical_bases(n, 0, max_card, shards)
-        orders = ((ZnSet(n, mask), rho) for mask, rho in found.items())
     witness: dict[int, ZnSet] = {}
-    for rep, rho in orders:
-        cur = witness.get(rho)
-        if cur is None or canonical_sort_key(rep) < canonical_sort_key(cur):
-            witness[rho] = rep
+    for rep, rho in _bases_above(n, 0, max_card, limit, shards):
+        witness.setdefault(rho, rep)
     achieved = tuple(sorted(witness))
     return SpectrumReport(
         n=n,
@@ -228,12 +234,8 @@ def check_kl_bound(
     Returns (checked, violations): the number of orbits of order at least
     report.rho, and how many of them have more than report.bound elements.
     """
-    checked = violations = 0
-    for rep, rho in _basis_orders(report.n, limit, 1):
-        if rho >= report.rho:
-            checked += 1
-            violations += len(rep) > report.bound
-    return checked, violations
+    bases = _bases_above(report.n, report.rho - 1, None, limit, 1)
+    return len(bases), sum(len(rep) > report.bound for rep, _ in bases)
 
 
 # -- the pruned search (every cardinality-capped run) ------------------------
@@ -372,26 +374,15 @@ def verify_conjecture(
         )
 
     floor = n // k  # rho > n/k exactly when rho > floor
-    if max_card is None:
-        found = {rep.mask: rho for rep, rho in _basis_orders(n, limit, shards)
-                 if rho > floor}
-    else:
-        cap = max_card
-        if use_kl_cap and 1 <= floor <= n - 2:
-            kl_cap = kl_bound(n, floor + 1).bound
-            cap = min(cap, max(kl_cap, 2))
-        found = _canonical_bases(n, floor, cap, shards)
+    cap = max_card
+    if cap is not None and use_kl_cap and 1 <= floor <= n - 2:
+        kl_cap = kl_bound(n, floor + 1).bound
+        cap = min(cap, max(kl_cap, 2))
 
-    exceeders = []
-    for mask in sorted(found, key=lambda m: canonical_sort_key(ZnSet(n, m))):
-        rho = found[mask]
-        nearest_l, min_gap = min_gap_to_fractions(rho, n, k)
-        exceeders.append(
-            Exceeder(
-                witness=ZnSet(n, mask), order=rho,
-                nearest_l=nearest_l, min_gap=min_gap,
-            )
-        )
+    exceeders = [
+        Exceeder(rep, rho, *min_gap_to_fractions(rho, n, k))
+        for rep, rho in _bases_above(n, floor, cap, limit, shards)
+    ]
 
     max_min_gap = Fraction(0)
     argmax = None

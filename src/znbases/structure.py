@@ -6,8 +6,8 @@ the subgroup scan is a divisor scan.  The quotient by the size-m subgroup is
 identified with Z_{n/m}, and the projection is reduction mod n/m.
 
 Everything here measures; hypothesis failures are recorded as flags, never
-raised.  The theorem constants (doubling threshold 2.04, density threshold
-10^-9) are configuration values.
+raised.  The doubling threshold 2.04 is the default sigma; the density
+threshold 10^-9 is fixed.
 """
 
 from __future__ import annotations
@@ -205,7 +205,6 @@ def _structure_report(
 def df_analyze(
     a: ZnSet,
     sigma: Fraction = DOUBLING_SIGMA,
-    density_threshold: Fraction = DENSITY_THRESHOLD,
     coprime_only: bool = False,
 ) -> DfAnalysis:
     """Structure scan of A over every proper-subgroup size m | n, m < n."""
@@ -236,7 +235,7 @@ def df_analyze(
         double_size=dsize,
         doubling_ratio=Fraction(dsize, size),
         doubling_hypothesis_ok=dsize < sigma * size,
-        density_hypothesis_ok=size < density_threshold * n,
+        density_hypothesis_ok=size < DENSITY_THRESHOLD * n,
         reports=reports,
         best=best,
     )
@@ -352,8 +351,6 @@ def pipeline_trace(
     a: ZnSet,
     k: int,
     sigma: Fraction = DOUBLING_SIGMA,
-    j_max: int | None = None,
-    coprime_only: bool = False,
 ) -> PipelineTrace:
     """Run the whole structure argument on a concrete basis and record it.
 
@@ -369,7 +366,7 @@ def pipeline_trace(
     n = a.modulus
     base = a.rotate(-(a.mask & -a.mask).bit_length() + 1)
     rho = order(base)
-    j, b, sizes = _doublings(base, sigma, j_max)
+    j, b, sizes = _doublings(base, sigma, None)
     trace = PipelineTrace(
         input_set=base, k=k, sigma=sigma, rho=rho,
         exceeds_n_over_k=rho is not None and rho * k > n, doubling_sizes=tuple(sizes),
@@ -378,7 +375,7 @@ def pipeline_trace(
         return trace
     h = 1 << j
     trace = trace._replace(j=j, h=h, b=b)
-    analysis = df_analyze(b, sigma=sigma, coprime_only=coprime_only)
+    analysis = df_analyze(b, sigma=sigma)
     chosen = analysis.best
     if chosen is None and analysis.reports:
         chosen = min(analysis.reports, key=lambda r: (r.ap_len * r.m, r.m))

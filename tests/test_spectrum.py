@@ -8,7 +8,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from znbases import enumerate_bases, order, spectrum, verify_conjecture
 from znbases.bounds import kl_bound
-from znbases.core import ZnSet, divisors, is_basis
+from znbases.core import ZnSet, canonical_sort_key, divisors, is_basis
+from znbases.spectrum import check_kl_bound
 
 from oracles import (
     all_subsets, burnside_basis_orbits, naive_order, naive_spectrum,
@@ -108,10 +109,29 @@ def test_spectrum_matches_naive_oracle():
 
 
 def test_spectrum_witnesses_attain_their_orders():
-    for n in (7, 9, 12):
-        r = spectrum(n)
+    # each witness is also the canonically least representative of its order
+    for n, cap in [(n, None) for n in range(1, 13)] + [(30, 4)]:
+        by_order = {}
+        for rep in enumerate_bases(n, cap):
+            by_order.setdefault(order(rep), []).append(rep)
+        r = spectrum(n, max_card=cap)
+        assert r.achieved_orders == tuple(sorted(by_order)), (n, cap)
         for rho, w in r.witnesses:
             assert order(w) == rho
+            assert w == min(by_order[rho], key=canonical_sort_key), (n, cap, rho)
+
+
+def test_check_kl_bound_counts_orbits_at_or_above_rho():
+    for n in range(4, 17):
+        orders = [(rep, order(rep)) for rep in enumerate_bases(n)]
+        for rho in range(2, n):
+            report = kl_bound(n, rho)
+            above = [rep for rep, o in orders if o >= rho]
+            # a bound of 2 makes every orbit above {0, 1} a violation
+            for bound in (report.bound, 2):
+                expected = (len(above), sum(len(rep) > bound for rep in above))
+                got = check_kl_bound(report._replace(bound=bound))
+                assert got == expected, (n, rho, bound)
 
 
 def test_spectrum_extremes_present():
