@@ -6,6 +6,7 @@ enumeration only ever needs one representative per affine orbit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -66,30 +67,81 @@ def zero_based_images(a: ZnSet):
             yield (scaled >> anchor | scaled << (n - anchor)) & full
 
 
+def _anchored_images(members: tuple[int, ...], n: int, g: int):
+    """Masks of the affine images of the set that send a pair (x, y) with
+    gcd(y - x, n) = g to (0, g): translate x to 0, then scale by a unit u
+    with u*(y - x) = g, a lift to Z_n of ((y - x)/g)^-1 mod n/g that is a
+    unit mod n.
+
+    When g is the least pair gcd of a set of two or more members, the orbit
+    minimum is among these images.  Affine maps keep every pair's gcd with
+    n, so a 0-containing image holds no residue in (0, g), and one holding
+    g sorts before one that does not.
+    """
+    m = n // g
+    full = (1 << n) - 1
+    scaled: dict[int, int] = {}  # unit -> mask of the set scaled by it
+    # Anchoring at the larger members first meets a smaller image sooner on
+    # the sets the pruned search tests: 3.1 images per is_canonical call
+    # against 4.2 in ascending order, over spectrum(24, max_card=7),
+    # verify_conjecture(60, 5, max_card=8) and spectrum(100, max_card=4).
+    for x in reversed(members):
+        for y in members:
+            d = y - x
+            if d and math.gcd(d, n) == g:
+                for u in range(pow(d // g, -1, m), n, m):
+                    if math.gcd(u, n) == 1:
+                        s = scaled.get(u)
+                        if s is None:
+                            s = 0
+                            for z in members:
+                                s |= 1 << (u * z % n)
+                            scaled[u] = s
+                        r = u * x % n
+                        yield (s >> r | s << (n - r)) & full
+
+
 def canonical_form(a: ZnSet) -> ZnSet:
     """The minimum of the affine orbit of A under the fixed canonical order.
 
-    The orbit minimum always contains 0 (for nonempty A a translate
-    containing 0 beats any set that misses it), so only the n*phi(n) images
-    with some element mapped to 0 need comparing.
+    A singleton's minimum is {0}.  Otherwise only the images holding 0 and
+    A's least pair gcd are compared (see _anchored_images): O(|A|^2 * g)
+    images instead of the n*phi(n) of the whole orbit.
     """
     if not a:
         raise ValueError("canonical form of an empty set")
+    n = a.modulus
+    members = a.members
+    if len(members) == 1:
+        return ZnSet(n, 1)
+    g = min(math.gcd(y - x, n) for x, y in itertools.combinations(members, 2))
     best = None
-    for image in zero_based_images(a):
+    for image in _anchored_images(members, n, g):
         if best is None or mask_less(image, best):
             best = image
-    return ZnSet(a.modulus, best)
+    return ZnSet(n, best)
 
 
 def is_canonical(a: ZnSet) -> bool:
-    """Whether A is the canonical representative of its own orbit."""
+    """Whether A is the canonical representative of its own orbit.
+
+    A canonical set of two or more members is {0, g} plus members above g,
+    with g its least pair gcd, so it is compared only with the images that
+    hold 0 and g.
+    """
     if not a:
         raise ValueError("canonicality of an empty set")
-    if 0 not in a:
-        return False
+    n = a.modulus
     mask = a.mask
-    return not any(mask_less(image, mask) for image in zero_based_images(a))
+    if not mask & 1:
+        return False
+    if mask == 1:
+        return True
+    members = a.members
+    g = members[1]
+    if g > 1 and any(math.gcd(y - x, n) < g for x, y in itertools.combinations(members, 2)):
+        return False  # the orbit minimum holds a residue in (0, g)
+    return not any(mask_less(image, mask) for image in _anchored_images(members, n, g))
 
 
 def orbit(a: ZnSet) -> frozenset[ZnSet]:

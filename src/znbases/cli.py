@@ -303,6 +303,11 @@ def kl_bound_cmd(n: int, rho: int, check: bool, limit: int, fmt: str) -> None:
     With --check, exits 1 if some enumerated basis violates the bound.
     """
     report = kl_bound(n, rho)
+    if check and n > limit:
+        raise click.UsageError(
+            f"--check enumerates every basis orbit, so it needs n <= --limit "
+            f"({limit}); got n = {n}"
+        )
     checked, violations = check_kl_bound(report, limit) if check else (None, 0)
 
     def payload():

@@ -2,8 +2,8 @@
 
 These deliberately share no code with the package kernel: plain Python sets,
 no bit masks, no 0-translation, no stabilization detection, no doubling.
-The one exception is rooted_canonical_bases, which uses the package's
-canonicality and basis tests but none of its search.
+rooted_canonical_bases returns ZnSet values, but its canonicality and basis
+tests are the plain-set ones below.
 """
 
 from __future__ import annotations
@@ -12,8 +12,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from znbases.affine import is_canonical
-from znbases.core import ZnSet, is_basis
+from znbases.core import ZnSet
 
 
 def naive_order(n: int, members) -> int | None:
@@ -86,24 +85,68 @@ def small_exceeders(n: int, k: int) -> dict[tuple[int, ...], int]:
     return found
 
 
+def naive_images(n: int, members):
+    """Every image u*A + v of A over the n*phi(n) maps with gcd(u, n) = 1,
+    each as a sorted tuple of residues."""
+    members = set(members)
+    for u in range(1, n + 1):
+        if math.gcd(u, n) == 1:
+            scaled = [u * x % n for x in members]
+            for v in range(n):
+                yield tuple(sorted([(y + v) % n for y in scaled]))
+
+
+def naive_canonical_form(n: int, members) -> tuple[int, ...]:
+    """The least affine image of the nonempty set A, as a sorted tuple.
+
+    The canonical order puts first the set that holds the lowest residue on
+    which two sets differ.  All images of A have |A| members, and between
+    sets of one size that is the set whose sorted tuple is lexicographically
+    smaller: up to the first index where the tuples differ they hold the
+    same residues, and the smaller entry there is missing from the other.
+    """
+    return min(naive_images(n, members))
+
+
+def naive_is_canonical(n: int, members) -> bool:
+    """Whether A is the least of its affine images (see naive_canonical_form).
+
+    A tuple whose first entry is 0 sorts before every tuple whose first
+    entry is not.  So if A misses 0, its translate that moves the least
+    member to 0 sorts before it; and if A holds 0, only the images that
+    hold 0 can sort before it: the |A|*phi(n) images u*(A - x), x in A.
+    tests/test_affine.py checks this against naive_canonical_form.
+    """
+    s = tuple(sorted(set(members)))
+    if s[0] != 0:
+        return False
+    return all(
+        tuple(sorted([u * (y - x) % n for y in s])) >= s
+        for u in range(1, n + 1) if math.gcd(u, n) == 1
+        for x in s
+    )
+
+
 def rooted_canonical_bases(n: int, max_card: int):
     """The canonical basis representatives of Z_n with at most max_card
     members, by a scan of candidates: {0}, then by size, {0, g} plus members
     above g for each proper divisor g of n, in combination order.  A
-    candidate is kept when is_canonical and is_basis accept it.
+    candidate is kept when it is a basis (n = 1, or the gcd of n and its
+    members is 1) and naive_is_canonical accepts it.
 
     No other set can be canonical: the least gcd(y - x, n) over the pairs of
     a set is a proper divisor g of n, and its canonical form is {0, g} plus
     members above g (see the comment above znbases.spectrum._canonical_bases).
     """
     proper = [g for g in range(1, n) if n % g == 0]
-    candidates = itertools.chain([ZnSet(n, 1)], (
-        ZnSet.from_members(n, (0, g, *rest))
+    candidates = itertools.chain([(0,)], (
+        (0, g, *rest)
         for size in range(2, max_card + 1)
         for g in proper
         for rest in itertools.combinations(range(g + 1, n), size - 2)
     ))
-    return [a for a in candidates if is_canonical(a) and is_basis(a)]
+    return [ZnSet.from_members(n, s) for s in candidates
+            if (n == 1 or math.gcd(n, *s) == 1) and naive_is_canonical(n, s)]
 
 
 def naive_min_gap(rho: int, n: int, k: int) -> tuple[int, Fraction]:

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from znbases import (
     AffineMap,
@@ -12,7 +13,7 @@ from znbases import (
 )
 from znbases.core import ZnSet
 
-from oracles import all_subsets
+from oracles import all_subsets, naive_canonical_form, naive_is_canonical
 
 
 def test_affine_map_rejects_non_unit_scale():
@@ -93,3 +94,38 @@ def test_canonical_partition_recovers_powerset():
             covered.extend(s.mask for s in orbit(ZnSet(n, mask)))
         assert len(covered) == (1 << n) - 1
         assert set(covered) == set(range(1, 1 << n))
+
+
+def test_canonicity_agrees_with_the_plain_set_oracle_up_to_n_12():
+    # Every nonempty subset, singletons and sets without 0 included, against
+    # the least of all n*phi(n) images on plain Python sets.
+    for n in range(1, 13):
+        for members in all_subsets(n):
+            a = ZnSet.from_members(n, members)
+            least = naive_canonical_form(n, members)
+            assert canonical_form(a).members == least, (n, members)
+            assert is_canonical(a) == (members == least), (n, members)
+            assert naive_is_canonical(n, members) == (members == least), (n, members)
+
+
+@st.composite
+def small_sets_in_zn(draw):
+    n = draw(st.integers(1, 200))
+    members = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=min(n, 8)))
+    return n, tuple(sorted(members))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_sets_in_zn())
+@example((200, (7,)))
+@example((200, (0, 10, 30, 70)))  # least pair gcd 10: ten lifts per anchor pair
+@example((180, (0, 6, 12, 42, 96)))
+@example((200, (0, 1, 2, 3, 5, 8, 13, 21)))
+def test_canonicity_agrees_with_the_plain_set_oracle_up_to_n_200(case):
+    n, members = case
+    a = ZnSet.from_members(n, members)
+    least = naive_canonical_form(n, members)
+    c = canonical_form(a)
+    assert c.members == least
+    assert is_canonical(a) == (members == least)
+    assert is_canonical(c) and naive_is_canonical(n, least)

@@ -154,6 +154,17 @@ def test_kl_bound_check_verifies_enumerated_bases():
     assert res.output.splitlines()[-1].endswith(",0")  # zero violations
 
 
+def test_kl_bound_check_above_the_limit_names_limit():
+    # kl-bound has no cardinality cap, so the refusal must name --limit
+    for args in (("--n", "30", "--rho", "5"), ("--n", "21", "--rho", "5", "--limit", "20")):
+        res = run("kl-bound", *args, "--check")
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert "--limit (20)" in res.stderr and "n = " in res.stderr
+        assert "cardinality cap" not in res.stderr
+    assert run("kl-bound", "--n", "21", "--rho", "5", "--check",
+               "--limit", "21", "--format", "csv").exit_code == 0
+
+
 def test_fl_check_pass_and_fail_exit_codes():
     assert run("fl-check", "--set", "0,1,3", "--h-max", "5").exit_code == 0
     # hypothesis fails: nothing asserted, exit 0

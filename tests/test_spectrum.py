@@ -306,6 +306,26 @@ def test_capped_enumeration_skips_the_order_bounds(monkeypatch):
         assert len(moduli) == calls, (n, cap)
 
 
+def test_capped_search_computes_each_triple_order_once(monkeypatch):
+    # The sub-basis check meets the same 0-translate {0, a, b} in many sets;
+    # one memo per search, shared by its shards, computes each order once.
+    spectrum_module = importlib.import_module("znbases.spectrum")
+    keys = []
+
+    def counting_triple_order(m, a, b):
+        keys.append((m, min(a, b), max(a, b)))
+        return triple_order(m, a, b)
+
+    triple_order = spectrum_module._triple_order
+    monkeypatch.setattr(spectrum_module, "_triple_order", counting_triple_order)
+    base = verify_conjecture(60, 5, max_card=8)
+    for shards in (1, 3):
+        keys.clear()
+        assert verify_conjecture(60, 5, max_card=8, shards=shards) == base
+        assert len(keys) > 100, shards
+        assert len(keys) == len(set(keys)), shards
+
+
 @st.composite
 def subgroup_sets_in_bases(draw):
     """(n, d, A, B) with n <= 40: A holds 0, gcd(n, members of A) is the
