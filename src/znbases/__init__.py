@@ -34,15 +34,12 @@ from .spectrum import (
 from .structure import (
     DfAnalysis,
     PipelineTrace,
-    ProjectionBounds,
     StructureReport,
     ap_cover,
     coset_profile,
     df_analyze,
-    doubling_search,
     pipeline_trace,
     project,
-    projection_order_bounds,
 )
 from .sumsets import SumsetTrajectory, add_sets, h_fold, order, trajectory
 
@@ -58,7 +55,6 @@ __all__ = [
     "KlBoundBreakdown",
     "PigeonholeWitness",
     "PipelineTrace",
-    "ProjectionBounds",
     "RepDecomposition",
     "SandwichBounds",
     "SpectrumReport",
@@ -73,7 +69,6 @@ __all__ = [
     "coset_profile",
     "df_analyze",
     "divisors",
-    "doubling_search",
     "enumerate_bases",
     "fl_growth_check",
     "h_fold",
@@ -87,7 +82,6 @@ __all__ = [
     "pigeonhole_witness",
     "pipeline_trace",
     "project",
-    "projection_order_bounds",
     "rep_decompose",
     "sandwich_bounds",
     "spectrum",

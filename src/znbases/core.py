@@ -44,6 +44,24 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+def _literal_members(text: str, noun: str) -> Iterator[int]:
+    """The integers of a stripped, nonempty set literal in order (format as in
+    ZnSet.from_text): a token that is not an integer, the empty one too, is
+    named with its literal, and a repeated value is refused."""
+    seen = set()
+    for tok in text.replace(";", ",").split(","):
+        try:
+            m = int(tok)
+        except ValueError:
+            raise ValueError(
+                f"{noun} {tok.strip()!r} in set literal {text!r} is not an integer"
+            ) from None
+        if m in seen:
+            raise ValueError(f"duplicate {noun} {m} in set literal")
+        seen.add(m)
+        yield m
+
+
 @dataclass(frozen=True)
 class ZnSet:
     """A subset of Z_n: modulus plus a dense bit-indexed membership mask.
@@ -82,21 +100,7 @@ class ZnSet:
         text = text.strip()
         if not text:
             return cls(modulus, 0)
-        mask = 0
-        for tok in text.replace(";", ",").split(","):
-            try:
-                m = int(tok)
-            except ValueError:
-                raise ValueError(
-                    f"residue {tok.strip()!r} in set literal {text!r} is not an integer"
-                ) from None
-            if not 0 <= m < modulus:
-                raise ValueError(f"residue {m} out of range [0, {modulus})")
-            bit = 1 << m
-            if mask & bit:
-                raise ValueError(f"duplicate residue {m} in set literal")
-            mask |= bit
-        return cls(modulus, mask)
+        return cls.from_members(modulus, _literal_members(text, "residue"))
 
     @classmethod
     def full(cls, modulus: int) -> ZnSet:
@@ -124,11 +128,6 @@ class ZnSet:
 
     def is_full(self) -> bool:
         return self.mask == (1 << self.modulus) - 1
-
-    def insert(self, residue: int) -> ZnSet:
-        if not 0 <= residue < self.modulus:
-            raise ValueError(f"residue {residue} out of range [0, {self.modulus})")
-        return ZnSet(self.modulus, self.mask | 1 << residue)
 
     def rotate(self, shift: int) -> ZnSet:
         """Translate the set: {a + shift mod n}."""
@@ -189,18 +188,12 @@ class IntSet:
 
     @classmethod
     def from_text(cls, text: str) -> IntSet:
-        toks = [t.strip() for t in text.replace(";", ",").split(",") if t.strip()]
-        if not toks:
+        """Parse a set literal of nonnegative integers, e.g. "0,1,3"; the
+        tokens follow the rules of ZnSet.from_text, and empty text is refused."""
+        text = text.strip()
+        if not text:
             raise ValueError("empty integer set literal")
-        members = []
-        for tok in toks:
-            try:
-                members.append(int(tok))
-            except ValueError:
-                raise ValueError(
-                    f"member {tok!r} in set literal {text.strip()!r} is not an integer"
-                ) from None
-        return cls(tuple(members))
+        return cls(tuple(_literal_members(text, "member")))
 
     @property
     def span(self) -> int:

@@ -202,6 +202,11 @@ def _structure_report(
     )
 
 
+def _subgroup_cost(r: StructureReport) -> tuple[int, int]:
+    """The order in which subgroups are chosen: least l*m, then least m."""
+    return (r.ap_len * r.m, r.m)
+
+
 def df_analyze(
     a: ZnSet,
     sigma: Fraction = DOUBLING_SIGMA,
@@ -222,12 +227,7 @@ def df_analyze(
         for m in divisors(n)
         if m < n
     )
-    best = None
-    for r in reports:
-        if not r.inequality_holds:
-            continue
-        if best is None or (r.ap_len * r.m, r.m) < (best.ap_len * best.m, best.m):
-            best = r
+    best = min((r for r in reports if r.inequality_holds), key=_subgroup_cost, default=None)
     return DfAnalysis(
         input_set=a,
         sigma=sigma,
@@ -241,72 +241,23 @@ def df_analyze(
     )
 
 
-def doubling_search(a: ZnSet, sigma: Fraction = DOUBLING_SIGMA, j_max: int | None = None) -> int | None:
-    """Smallest j in [0, j_max] with |2^(j+1) A| < sigma * |2^j A|, else None.
+def _doublings(a: ZnSet, sigma: Fraction) -> tuple[int, ZnSet, list[int]]:
+    """The first doubling step with ratio below sigma: (j, 2^j A, sizes) for
+    the least j with |2^(j+1) A| < sigma * |2^j A|, where sizes are |A|,
+    |2A|, |4A|, ... up to |2^(j+1) A|.
 
-    Once the doublings stabilize the ratio is 1 < sigma, so for j_max of at
-    least about log2(n) the search always succeeds; the default allows that.
+    With 0 in A the doublings stop growing once 2^j > n, and from there the
+    ratio is 1, so a sigma above 1 always stops the loop within its bound.
     """
-    if 0 not in a:
-        raise ValueError("doubling search expects a 0-translated set")
-    if j_max is not None and j_max < 0:
-        raise ValueError(f"j_max must be >= 0, got {j_max}")
-    return _doublings(a, sigma, j_max)[0]
-
-
-def _doublings(
-    a: ZnSet, sigma: Fraction, j_max: int | None
-) -> tuple[int | None, ZnSet, list[int]]:
-    """The doubling loop of `doubling_search`: (j, 2^j A, sizes), where sizes
-    are |A|, |2A|, |4A|, ... up to the step that stopped the search."""
-    if j_max is None:
-        j_max = a.modulus.bit_length() + 1
     cur = a
     sizes = [len(a)]
-    for j in range(j_max + 1):
+    for j in range(a.modulus.bit_length() + 2):
         nxt = add_sets(cur, cur)
         sizes.append(len(nxt))
         if sizes[-1] < sigma * sizes[-2]:
             return j, cur, sizes
         cur = nxt
-    return None, cur, sizes
-
-
-@record
-class ProjectionBounds(NamedTuple):
-    """Order of the projection vs order of the set, for one divisor q of n.
-
-    The lower bound (projection order <= order) always holds; the upper
-    candidate (projection order + n/q) is evaluated and reported, never
-    asserted -- it depends on structural context and fails for general input.
-    upper_holds is None when the set is not a basis.
-    """
-
-    n: int
-    q: int
-    lower: int | None
-    actual: int | None
-    upper_candidate: int | None
-    upper_holds: bool | None
-
-
-def projection_order_bounds(a: ZnSet, q: int) -> ProjectionBounds:
-    n = a.modulus
-    if q < 1 or n % q != 0:
-        raise ValueError(f"q must divide the modulus {n}, got {q}")
-    m = n // q
-    lower = order(project(a, q))
-    actual = order(a)
-    if actual is None or lower is None:
-        upper_candidate = None if lower is None else lower + m
-        return ProjectionBounds(
-            n=n, q=q, lower=lower, actual=actual,
-            upper_candidate=upper_candidate, upper_holds=None,
-        )
-    return ProjectionBounds(
-        n=n, q=q, lower=lower, actual=actual,
-        upper_candidate=lower + m, upper_holds=actual <= lower + m,
-    )
+    raise RuntimeError("no doubling step below sigma (0 in A and sigma > 1 always give one)")
 
 
 @record(with_modulus={"input_set": "set"})
@@ -324,9 +275,9 @@ class PipelineTrace(NamedTuple):
     rho: int | None
     exceeds_n_over_k: bool
     doubling_sizes: tuple[int, ...]
-    j: int | None = None
-    h: int | None = None
-    b: ZnSet | None = None
+    j: int
+    h: int
+    b: ZnSet
     m: int | None = None
     q: int | None = None
     s: int | None = None
@@ -363,22 +314,22 @@ def pipeline_trace(
         raise ValueError(f"k must be >= 2, got {k}")
     if not a:
         raise ValueError("pipeline trace of an empty set")
+    if sigma <= 1:
+        raise ValueError(f"sigma must exceed 1, got {sigma}")
     n = a.modulus
     base = a.rotate(-(a.mask & -a.mask).bit_length() + 1)
     rho = order(base)
-    j, b, sizes = _doublings(base, sigma, None)
+    j, b, sizes = _doublings(base, sigma)
+    h = 1 << j
     trace = PipelineTrace(
         input_set=base, k=k, sigma=sigma, rho=rho,
         exceeds_n_over_k=rho is not None and rho * k > n, doubling_sizes=tuple(sizes),
+        j=j, h=h, b=b,
     )
-    if j is None:
-        return trace
-    h = 1 << j
-    trace = trace._replace(j=j, h=h, b=b)
     analysis = df_analyze(b, sigma=sigma)
     chosen = analysis.best
-    if chosen is None and analysis.reports:
-        chosen = min(analysis.reports, key=lambda r: (r.ap_len * r.m, r.m))
+    if chosen is None:
+        chosen = min(analysis.reports, key=_subgroup_cost, default=None)
     if chosen is None:
         return trace  # n = 1 has no proper subgroup: the doubling data only
 

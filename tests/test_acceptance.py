@@ -319,8 +319,10 @@ def test_criterion_8_projection_lower_bound():
         sampled += 1
     elapsed = time.monotonic() - t0
     # The upper candidate fails out of context (e.g. {0,1} in Z_9, q=3).
-    pb = z.projection_order_bounds(ZnSet.from_text(9, "0,1"), 3)
-    assert pb.upper_holds is False
+    a = ZnSet.from_text(9, "0,1")
+    lower, actual = z.order(z.project(a, 3)), z.order(a)
+    upper_candidate = lower + 9 // 3
+    assert (lower, actual, upper_candidate) == (2, 8, 5) and actual > upper_candidate
     report(
         "criterion 8 (projection lower bound)",
         violations == 0,

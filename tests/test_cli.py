@@ -80,12 +80,16 @@ def test_bad_set_token_is_named_with_its_literal():
 
 
 def test_bad_integer_set_token_is_named_with_its_literal():
-    for text, token in (("0,x", "x"), ("0, 2.5,3", "2.5")):
+    for text, token in (("0,x", "x"), ("0, 2.5,3", "2.5"), ("0,1,3,", ""), (",,", "")):
         res = run("fl-check", "--set", text, "--h-max", "3")
         assert res.exit_code == 2
         assert res.stdout == ""
         assert f"member {token!r} in set literal {text!r} is not an integer" in res.stderr
         assert "invalid literal" not in res.stderr
+    res = run("fl-check", "--set", "0,1,1,3", "--h-max", "3")
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert "duplicate member 1 in set literal" in res.stderr
 
 
 def test_nonpositive_modulus_is_named_before_the_residues():
@@ -202,6 +206,14 @@ def test_pipeline_json():
     )
     payload = json.loads(res.output)
     assert payload["j"] == 0 and payload["m"] == 5 and payload["branch"] == "generic"
+
+
+def test_pipeline_sigma_at_most_one_exits_2():
+    for sigma, shown in (("1", "1"), ("0", "0"), ("-1", "-1"), ("1/2", "1/2")):
+        res = run("pipeline", "--n", "20", "--set", "0,1,5", "--k", "3", f"--sigma={sigma}")
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert f"sigma must exceed 1, got {shown}" in res.stderr
 
 
 def test_family_csv_schema():

@@ -23,7 +23,6 @@ from znbases import (
     lower_bound_family,
     pigeonhole_witness,
     pipeline_trace,
-    projection_order_bounds,
     rep_decompose,
     sandwich_bounds,
     spectrum,
@@ -45,7 +44,7 @@ from znbases.bounds import (
 from znbases.cli import main
 from znbases.core import IntSet, ZnSet
 from znbases.spectrum import ConjectureReport, Exceeder, OrderWitness, SpectrumReport
-from znbases.structure import DfAnalysis, PipelineTrace, ProjectionBounds, StructureReport
+from znbases.structure import DfAnalysis, PipelineTrace, StructureReport
 from znbases.sumsets import SumsetTrajectory
 
 SMALL_DOUBLING = ZnSet.from_text(20, "0,4,8,12,16,1")
@@ -72,9 +71,6 @@ CASES = [
     (FamilyRecord, lambda: lower_bound_family(5, (29, 29))[0], "family"),
     (StructureReport, lambda: df_analyze(SMALL_DOUBLING).reports[1], "structure"),
     (DfAnalysis, lambda: df_analyze(SMALL_DOUBLING), "df-analysis"),
-    (ProjectionBounds, lambda: projection_order_bounds(SMALL_DOUBLING, 5), "projection"),
-    (ProjectionBounds, lambda: projection_order_bounds(ZnSet.from_text(6, "0,2"), 3),
-     "projection-non-basis"),
     (PipelineTrace, lambda: pipeline_trace(SMALL_DOUBLING, 3), "pipeline-20"),
     (PipelineTrace, lambda: pipeline_trace(ZnSet.from_text(10, "0,1"), 2), "pipeline-10"),
     (PipelineTrace, lambda: pipeline_trace(ZnSet.from_text(6, "0,2"), 2), "pipeline-6"),
@@ -103,7 +99,7 @@ def assert_types(report, cls):
 
 
 def test_cases_cover_every_report_type():
-    assert len({cls for cls, _, _ in CASES}) == 14
+    assert len({cls for cls, _, _ in CASES}) == 13
 
 
 @pytest.mark.parametrize("cls, make", [pytest.param(c, m, id=i) for c, m, i in CASES])

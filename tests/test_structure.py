@@ -9,10 +9,8 @@ from znbases import (
     ap_cover,
     coset_profile,
     df_analyze,
-    doubling_search,
     pipeline_trace,
     project,
-    projection_order_bounds,
 )
 from znbases.core import ZnSet, divisors
 from znbases.structure import (
@@ -250,42 +248,21 @@ def test_structure_scan_empty_for_trivial_group():
     assert an.reports == () and an.best is None
 
 
-def test_doubling_search_spec_examples():
-    assert doubling_search(ZnSet.from_text(100, "0,1")) == 0
-    assert doubling_search(ZnSet.full(10)) == 0
+def test_pipeline_doubling_step_spec_examples():
+    assert pipeline_trace(ZnSet.from_text(100, "0,1"), 2).j == 0
+    assert pipeline_trace(ZnSet.full(10), 2).j == 0
     a = ZnSet.from_text(100, "0,1,2,3,50")
-    j = doubling_search(a)
+    t = pipeline_trace(a, 2)
+    j = t.j
     sizes = [len(a)]
     cur = a
     for _ in range(j + 1):
         cur = add_sets(cur, cur)
         sizes.append(len(cur))
+    assert list(t.doubling_sizes) == sizes
     assert sizes[j + 1] * 100 < 204 * sizes[j]
     for i in range(j):
         assert sizes[i + 1] * 100 >= 204 * sizes[i]
-
-
-def test_doubling_search_not_found_with_tiny_budget():
-    assert doubling_search(ZnSet.from_text(100, "0,1"), j_max=0) == 0
-    assert (
-        doubling_search(ZnSet.from_text(10**4, "0,1"), sigma=Fraction(101, 100), j_max=1)
-        is None
-    )
-
-
-def test_projection_order_bounds_spec_examples():
-    pb = projection_order_bounds(ZnSet.from_text(4, "0,1"), 2)
-    assert (pb.lower, pb.actual, pb.upper_candidate, pb.upper_holds) == (1, 3, 3, True)
-    pb = projection_order_bounds(ZnSet.from_text(9, "0,1"), 3)
-    assert (pb.lower, pb.actual, pb.upper_candidate, pb.upper_holds) == (2, 8, 5, False)
-    pb = projection_order_bounds(ZnSet.full(12), 4)
-    assert pb.lower == 1 and pb.actual == 1 and pb.upper_holds
-
-
-def test_projection_order_bounds_non_basis_flagged():
-    pb = projection_order_bounds(ZnSet.from_text(6, "0,2"), 3)
-    assert pb.actual is None and pb.upper_holds is None
-    assert pb.lower == 2  # projection {0,2} generates Z_3
 
 
 def test_projection_lower_bound_random():
@@ -334,5 +311,5 @@ def test_pipeline_trace_basis_b_is_basis():
         n = rng.randrange(4, 40)
         a = ZnSet(n, rng.randrange(1, 1 << n) | 1)
         t = pipeline_trace(a, 3)
-        if t.rho is not None and t.b is not None:
+        if t.rho is not None:
             assert order(t.b) is not None  # doubling preserves generation
