@@ -66,6 +66,18 @@ def test_znset_parse_rejects_bad_literals():
         ZnSet.from_members(5, [-1])
 
 
+def test_set_literal_token_rules_are_shared():
+    for noun, parse in (("residue", lambda t: ZnSet.from_text(10, t).members),
+                        ("member", lambda t: IntSet.from_text(t).members)):
+        assert parse(" 0; 1 ,3") == (0, 1, 3)
+        for text, token in (("0,x", "x"), ("0,1,3,", ""), (",,", ""), ("0, 2.5,3", "2.5")):
+            with pytest.raises(ValueError) as err:
+                parse(text)
+            assert str(err.value) == f"{noun} {token!r} in set literal {text!r} is not an integer"
+        with pytest.raises(ValueError, match=f"duplicate {noun} 1 in set literal"):
+            parse("0,1,1,3")
+
+
 @pytest.mark.parametrize("n", [0, -5])
 def test_znset_constructors_name_a_nonpositive_modulus(n):
     for build in (lambda: ZnSet.from_text(n, "0"), lambda: ZnSet.from_members(n, [0])):

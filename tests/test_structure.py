@@ -265,6 +265,21 @@ def test_pipeline_doubling_step_spec_examples():
         assert sizes[i + 1] * 100 >= 204 * sizes[i]
 
 
+def test_projection_bounds_spec_examples():
+    # (order of the projection, order, order of the projection + n/q)
+    for n, text, q, bounds in ((4, "0,1", 2, (1, 3, 3)), (9, "0,1", 3, (2, 8, 5))):
+        a = ZnSet.from_text(n, text)
+        lower, actual = order(project(a, q)), order(a)
+        assert (lower, actual, lower + n // q) == bounds
+    assert order(project(ZnSet.full(12), 4)) == 1 and order(ZnSet.full(12)) == 1
+
+
+def test_projection_of_a_non_basis_can_generate():
+    a = ZnSet.from_text(6, "0,2")
+    assert order(a) is None
+    assert order(project(a, 3)) == 2  # projection {0,2} generates Z_3
+
+
 def test_projection_lower_bound_random():
     rng = random.Random(23)
     checked = 0
@@ -313,3 +328,22 @@ def test_pipeline_trace_basis_b_is_basis():
         t = pipeline_trace(a, 3)
         if t.rho is not None:
             assert order(t.b) is not None  # doubling preserves generation
+
+
+def test_pipeline_trace_refuses_sigma_at_most_one():
+    a = ZnSet.from_text(20, "0,1,5")
+    for sigma in (Fraction(1), Fraction(0), Fraction(-1), Fraction(1, 2)):
+        with pytest.raises(ValueError, match=f"sigma must exceed 1, got {sigma}"):
+            pipeline_trace(a, 3, sigma)
+        with pytest.raises(ValueError, match=f"sigma must exceed 1, got {sigma}"):
+            df_analyze(a, sigma=sigma)
+
+
+def test_doubling_step_found_for_sigma_just_above_one():
+    # |2^j {0,1}| = 2^j + 1 grows by a ratio above 101/100 until 2^j A is all
+    # of Z_1000 (j = 10); the next doubling has ratio 1, so j = 10.
+    sigma = Fraction(101, 100)
+    t = pipeline_trace(ZnSet.from_text(1000, "0,1"), 2, sigma)
+    assert t.j == 10 and t.h == 1 << 10
+    assert list(t.doubling_sizes) == [min(2**i + 1, 1000) for i in range(12)]
+    assert t.b == ZnSet.full(1000)
