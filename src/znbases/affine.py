@@ -49,24 +49,6 @@ def units(n: int) -> tuple[int, ...]:
     return tuple(u for u in range(1, n + 1) if math.gcd(u, n) == 1) if n > 1 else (0,)
 
 
-def zero_based_images(a: ZnSet):
-    """Masks of all affine images of A that contain 0 (one per (unit, member) pair).
-
-    Per unit the scaled set is built once; each member is then moved to 0 by
-    a rotation of that mask.
-    """
-    n = a.modulus
-    full = (1 << n) - 1
-    members = a.members
-    for u in units(n):
-        scaled = 0
-        for m in members:
-            scaled |= 1 << (u * m % n)
-        for m in members:
-            anchor = u * m % n
-            yield (scaled >> anchor | scaled << (n - anchor)) & full
-
-
 def _anchored_images(members: tuple[int, ...], n: int, g: int):
     """Masks of the affine images of the set that send a pair (x, y) with
     gcd(y - x, n) = g to (0, g): translate x to 0, then scale by a unit u

@@ -108,14 +108,16 @@ class ZnSet:
 
     @property
     def members(self) -> tuple[int, ...]:
-        return tuple(self)
-
-    def __iter__(self) -> Iterator[int]:
+        out = []
         mask = self.mask
         while mask:
             low = mask & -mask
-            yield low.bit_length() - 1
+            out.append(low.bit_length() - 1)
             mask ^= low
+        return tuple(out)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.members)
 
     def __len__(self) -> int:
         return self.mask.bit_count()

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from .affine import is_canonical, zero_based_images
+from .affine import is_canonical, units
 from .bounds import KlBoundBreakdown, kl_bound, min_gap_to_fractions
 from .core import (
-    ZnSet, canonical_sort_key, divisors, is_basis, mask_less, record,
+    ZnSet, canonical_sort_key, divisors, is_basis, record,
 )
 from .sumsets import _triple_order, order
 
@@ -78,42 +79,71 @@ class ConjectureReport(NamedTuple):
     argmax_witness: ZnSet | None
 
 
-# States of a 0-containing mask in the exhaustive walk, one byte per mask;
-# a fresh byte is 0, unseen.
-_NOT_CANONICAL, _PENDING = 1, 2
+# Lane widths of the exhaustive walk's packed image indices, in bits, with
+# their memoryview formats.  An index has n - 1 bits, and enumerate_bases
+# refuses n - 1 > 62, so 64 bits always suffice.
+_LANE_FORMATS = ((8, "B"), (16, "H"), (32, "I"), (64, "Q"))
+_MEMBER_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _exhaustive_bases(n: int) -> Iterator[ZnSet]:
     """Orderly generation of the canonical basis representatives.
 
-    Walks the masks containing 0 in ascending order.  The first mask of a
-    basis orbit met in the walk generates the orbit's 0-containing images
-    once: all are marked not canonical, and their canonical minimum is
-    yielded at once if it is this mask, else marked pending and yielded when
-    the walk reaches it.  The yield order is therefore ascending mask order,
-    exactly as a canonicality test of every candidate would give.  Being a
-    basis is an orbit invariant, so a non-basis mask is skipped unmarked.
+    One state byte per mask holding 0, indexed by the mask reversed: residue
+    x >= 1 at bit n-1-x, and residue 0, which every such mask holds,
+    dropped.  Of two masks, the one holding the lowest residue on which they
+    differ has the larger index, so descending index order is the canonical
+    order (mask_less), and a walk down the unseen bytes meets each orbit's
+    canonical form first.  That mask marks all the orbit's 0-containing
+    images u*(A - a), for every unit u = u_j and member a, with one sum:
+    lanes[x] holds, in lane j*n + a, the reversed bit of u_j*(x - a)
+    (nothing for 0), so the sum of lanes[x] over the members x holds the
+    index of u_j*(A - a) in lane j*n + a.  A lane is a sum of distinct
+    powers of two below 2^(n-1), so lanes never carry into each other.
+    Being a basis is an orbit invariant, so a non-basis mask is skipped
+    unmarked.  The representatives are yielded in ascending mask order,
+    exactly as a canonicality test of every candidate would give.
     """
-    state = bytearray(1 << (n - 1))  # indexed by mask >> 1
-    for mask in range(1, 1 << n, 2):
-        seen = state[mask >> 1]
-        if seen == _PENDING:
-            yield ZnSet(n, mask)
+    unit_list = units(n)
+    phi = len(unit_list)
+    bits, fmt = next(lane for lane in _LANE_FORMATS if lane[0] >= n - 1)
+    count = n * phi  # lanes
+    size = count * bits // 8
+    little = sys.byteorder == "little"
+    lanes = []
+    for x in range(n):
+        packed = 0
+        for j, u in enumerate(unit_list):
+            for a in range(n):
+                y = u * (x - a) % n
+                if y:
+                    # to_bytes in native order puts slot 0 first on a
+                    # little-endian machine and the last slot first on a
+                    # big-endian one
+                    slot = j * n + a if little else count - 1 - j * n - a
+                    packed |= 1 << (bits * slot + n - 1 - y)
+        lanes.append(packed)
+
+    state = bytearray(1 << (n - 1))
+    found = []
+    index = len(state)
+    spec = f"0{n - 1}b"
+    while (index := state.rfind(0, 0, index)) >= 0:
+        residues = format(index, spec)  # residues[x - 1] == "1": x in A
+        mask = int(residues[::-1] + "1", 2)
+        if not is_basis(ZnSet(n, mask)):
             continue
-        if seen == _NOT_CANONICAL:
-            continue
-        a = ZnSet(n, mask)
-        if not is_basis(a):
-            continue
-        best = mask
-        for image in zero_based_images(a):
-            state[image >> 1] = _NOT_CANONICAL
-            if mask_less(image, best):
-                best = image
-        if best == mask:
-            yield a
-        else:
-            state[best >> 1] = _PENDING
+        found.append(mask)
+        flags = ("1" + residues).encode().translate(_MEMBER_FLAGS)  # flags[x]: x in A
+        images = memoryview(
+            sum(itertools.compress(lanes, flags)).to_bytes(size, sys.byteorder)
+        ).cast(fmt)
+        # flags * phi selects lane j*n + a exactly when a is a member
+        for image in itertools.compress(images, flags * phi):
+            state[image] = 1
+    found.sort()
+    for mask in found:
+        yield ZnSet(n, mask)
 
 
 def enumerate_bases(
@@ -125,9 +155,10 @@ def enumerate_bases(
     affine orbit of bases of Z_n.  The arguments are checked at the call,
     before the iterator is returned.
 
-    Exhaustive mode (max_card None) requires n <= limit.  It walks all
-    2^(n-1) masks containing 0 with one byte of state per mask and generates
-    each basis orbit once (see _exhaustive_bases); representatives come in
+    Exhaustive mode (max_card None) requires n <= limit, and 2^(n-1) at
+    most sys.maxsize (n <= 63 on a 64-bit build).  It walks all 2^(n-1)
+    masks containing 0 with one byte of state per mask and generates each
+    basis orbit once (see _exhaustive_bases); representatives come in
     ascending mask order.  Pass max_card to enumerate only orbits of
     cardinality <= max_card; that mode runs the pruned search of
     _canonical_bases with floor 0, since a state array of 2^(n-1) bytes
@@ -143,6 +174,11 @@ def enumerate_bases(
         raise ValueError(
             f"exhaustive enumeration is limited to n <= {limit}; "
             f"use a cardinality cap for n = {n}"
+        )
+    if 1 << (n - 1) > sys.maxsize:
+        raise ValueError(
+            f"exhaustive enumeration of Z_{n} needs a state of 2^{n - 1} bytes, "
+            f"more than a bytearray can hold here (n <= {sys.maxsize.bit_length()})"
         )
     return _exhaustive_bases(n)
 

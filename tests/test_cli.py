@@ -169,6 +169,16 @@ def test_kl_bound_check_above_the_limit_names_limit():
                "--limit", "21", "--format", "csv").exit_code == 0
 
 
+def test_exhaustive_run_too_large_to_index_exits_2():
+    # a bytearray cannot hold 2^69 state bytes, whatever --limit allows
+    for args in (("spectrum", "--n", "70", "--exhaustive", "--limit", "100"),
+                 ("conjecture", "--k", "3", "--n", "70", "--limit", "100"),
+                 ("kl-bound", "--n", "70", "--rho", "5", "--check", "--limit", "100")):
+        res = run(*args)
+        assert (res.exit_code, res.stdout) == (2, ""), args
+        assert "2^69 bytes" in res.stderr, args
+
+
 def test_fl_check_pass_and_fail_exit_codes():
     assert run("fl-check", "--set", "0,1,3", "--h-max", "5").exit_code == 0
     # hypothesis fails: nothing asserted, exit 0

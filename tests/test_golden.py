@@ -1,7 +1,7 @@
 """Golden CLI gate: every run in golden.json must reproduce its exit code and
 stdout byte for byte.
 
-golden.json holds the argv, exit code and stdout of 228 runs.  Captured
+golden.json holds the argv, exit code and stdout of 230 runs.  Captured
 before the report codec and the CLI renderer were rewritten: ``--version``,
 every ``--help``, all 11 commands in table, json and csv, shard counts 1, 2,
 3 and 5, and a few usage errors (exit 2, empty stdout).  Captured before the
@@ -23,8 +23,12 @@ in json (20 exceeders, Klopsch-Lev cap 6) and ``conjecture --k 5
 --max-card 8 --n 60`` as a table (70 exceeders, cap 8).  Captured after a
 fix, since the earlier output used the single-modulus layout: ``conjecture
 --k 3 --n-range 60..60 --max-card 6`` in all three formats, a one-modulus
-range rendered as a sweep.  A legitimate output change must be made in
-golden.json in the same change, run by run.
+range rendered as a sweep.  Captured before the exhaustive walk went in
+canonical order and marked each orbit's images with one packed sum, the
+largest exhaustive runs: ``spectrum --n 20 --exhaustive`` (the default
+limit) and ``kl-bound --n 18 --rho 4 --check --format json``.  A
+legitimate output change must be made in golden.json in the same change,
+run by run.
 """
 
 import json

@@ -32,8 +32,24 @@ def test_enumerate_bases_covers_all_basis_orbits():
 
 
 def test_enumerate_bases_orbit_count_matches_burnside():
-    for n in range(1, 17):
+    for n in range(1, 21):
         assert len(list(enumerate_bases(n))) == burnside_basis_orbits(n), n
+
+
+def test_exhaustive_walk_yields_canonical_bases_in_mask_order():
+    # The walk packs each image's state index into lanes of 1, 2, 4 or 8
+    # bytes, the narrowest that hold n - 1 bits: n = 9, 10, 17 and 18 sit on
+    # either side of the 1- and 2-byte boundaries, where a lane one size too
+    # narrow would corrupt the indices it carries.
+    from znbases.affine import is_canonical
+
+    for n in (9, 10, 17, 18):
+        reps = list(enumerate_bases(n))
+        assert reps, n
+        for rep in reps:
+            assert is_basis(rep) and is_canonical(rep), rep
+        masks = [rep.mask for rep in reps]
+        assert all(x < y for x, y in zip(masks, masks[1:])), n
 
 
 def test_exhaustive_enumeration_yields_the_canonicality_scan():
@@ -73,6 +89,8 @@ def test_enumerate_bases_checks_its_arguments_when_called():
         enumerate_bases(25)
     with pytest.raises(ValueError, match="max_card must be in"):
         enumerate_bases(7, max_card=0)
+    with pytest.raises(ValueError, match=r"state of 2\^63 bytes"):
+        enumerate_bases(64, limit=64)
 
 
 def test_shard_count_below_one_is_refused():
