@@ -126,6 +126,19 @@ def is_canonical(a: ZnSet) -> bool:
     return not any(mask_less(image, mask) for image in _anchored_images(members, n, g))
 
 
+def _orbit_size(a: ZnSet) -> int:
+    """len(orbit(a)) as n*phi(n) / |Stab(A)|.  The maps sending A to its
+    canonical form C, one coset of the stabilizer, each send a pair with gcd
+    g to (0, g), C's first two members: they are the anchored images equal
+    to C, each met once."""
+    n = a.modulus
+    if len(a) == 1:
+        return n
+    canon = canonical_form(a)
+    images = _anchored_images(a.members, n, canon.members[1])
+    return n * len(units(n)) // sum(image == canon.mask for image in images)
+
+
 def orbit(a: ZnSet) -> frozenset[ZnSet]:
     """All distinct images of A under the n*phi(n) affine maps."""
     if not a:

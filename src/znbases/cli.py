@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Every subcommand renders to one of three formats (table, json, csv) and is
-deterministic: repeated runs, and runs with different shard counts, produce
+deterministic: repeated runs, and runs with any --shards count, produce
 byte-identical output.  All configuration is by flags; no environment
 variables are consulted.
 
@@ -18,7 +18,7 @@ from fractions import Fraction
 import click
 
 from . import __version__
-from .affine import canonical_form, orbit
+from .affine import _orbit_size, canonical_form
 from .bounds import (
     fl_growth_check,
     kl_bound,
@@ -91,6 +91,13 @@ def _emit(fmt: str, payload, sections, lines) -> None:
         for line in lines():
             write(line + "\n")
     sys.stdout.flush()
+
+
+def _check_shards(shards: int) -> None:
+    # the work always runs as one partition: a split inside one process
+    # would only reorder it
+    if shards < 1:
+        raise click.UsageError(f"shards must be >= 1, got {shards}")
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -182,7 +189,7 @@ def canon_cmd(n: int, set_text: str, fmt: str) -> None:
     """Canonical affine-orbit representative and orbit size."""
     a = _parse_set(n, set_text)
     canon = canonical_form(a)
-    size = len(orbit(a))
+    size = _orbit_size(a)
     _emit(fmt,
           lambda: {"n": n, "set": a, "canonical": canon, "orbit_size": size},
           lambda: [("n,set,canonical,orbit_size", [(n, a, canon, size)])],
@@ -204,7 +211,8 @@ def spectrum_cmd(n, exhaustive, max_card, limit, shards, fmt) -> None:
     """Achieved orders of bases of Z_n, with gap runs and witnesses."""
     if exhaustive and max_card is not None:
         raise click.UsageError("--exhaustive and --max-card are mutually exclusive")
-    report = spectrum(n, max_card=max_card, limit=limit, shards=shards)
+    _check_shards(shards)
+    report = spectrum(n, max_card=max_card, limit=limit)
 
     def lines():
         yield (f"spectrum of Z_{n} ({report.mode}"
@@ -244,9 +252,9 @@ def conjecture_cmd(k, n, n_range, max_card, limit, shards, no_kl_cap, fmt) -> No
     else:
         lo, hi = _parse_range(n_range)
         moduli = list(range(lo, hi + 1))
+    _check_shards(shards)
     reports = [
-        verify_conjecture(m, k, max_card=max_card, limit=limit, shards=shards,
-                          use_kl_cap=not no_kl_cap)
+        verify_conjecture(m, k, max_card=max_card, limit=limit, use_kl_cap=not no_kl_cap)
         for m in moduli
     ]
     if n is not None:

@@ -1,10 +1,10 @@
 """Basis enumeration up to affine equivalence, achieved-order spectra with
 gap detection, and the empirical large-order gap measurement.
 
-Enumeration and aggregation are deterministic: work can be partitioned into
-any number of shards and merged; the merged report is identical regardless
-of the shard count (partial results merge by set union / max, and all output
-collections are sorted before emission).
+Enumeration and aggregation are deterministic: every report reads its
+orders off one list of (representative, order) pairs in the canonical order
+(ascending canonical_sort_key), which both the orderly walk and the sorted
+result of the pruned search give.
 """
 
 from __future__ import annotations
@@ -80,29 +80,29 @@ class ConjectureReport(NamedTuple):
 
 
 # Lane widths of the exhaustive walk's packed image indices, in bits, with
-# their memoryview formats.  An index has n - 1 bits, and enumerate_bases
-# refuses n - 1 > 62, so 64 bits always suffice.
+# their memoryview formats.  An index has n - 1 bits, and no bytearray of
+# 2^(n-1) bytes exists for n - 1 > 62, so 64 bits always suffice.
 _LANE_FORMATS = ((8, "B"), (16, "H"), (32, "I"), (64, "Q"))
 _MEMBER_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
-def _exhaustive_bases(n: int) -> Iterator[ZnSet]:
+def _exhaustive_bases(n: int, state: bytearray) -> Iterator[ZnSet]:
     """Orderly generation of the canonical basis representatives.
 
-    One state byte per mask holding 0, indexed by the mask reversed: residue
-    x >= 1 at bit n-1-x, and residue 0, which every such mask holds,
-    dropped.  Of two masks, the one holding the lowest residue on which they
-    differ has the larger index, so descending index order is the canonical
-    order (mask_less), and a walk down the unseen bytes meets each orbit's
-    canonical form first.  That mask marks all the orbit's 0-containing
+    state holds one zero byte per mask holding 0, indexed by the mask
+    reversed: residue x >= 1 at bit n-1-x, and residue 0, which every such
+    mask holds, dropped.  Of two masks, the one holding the lowest residue
+    on which they differ has the larger index, so descending index order is
+    the canonical order (mask_less), and a walk down the unseen bytes meets
+    each orbit's canonical form first.  That mask marks all the orbit's 0-containing
     images u*(A - a), for every unit u = u_j and member a, with one sum:
     lanes[x] holds, in lane j*n + a, the reversed bit of u_j*(x - a)
     (nothing for 0), so the sum of lanes[x] over the members x holds the
     index of u_j*(A - a) in lane j*n + a.  A lane is a sum of distinct
     powers of two below 2^(n-1), so lanes never carry into each other.
     Being a basis is an orbit invariant, so a non-basis mask is skipped
-    unmarked.  The representatives are yielded in ascending mask order,
-    exactly as a canonicality test of every candidate would give.
+    unmarked.  Each representative is yielded once its orbit is marked, so
+    they come in the canonical order (ascending canonical_sort_key).
     """
     unit_list = units(n)
     phi = len(unit_list)
@@ -124,8 +124,6 @@ def _exhaustive_bases(n: int) -> Iterator[ZnSet]:
                     packed |= 1 << (bits * slot + n - 1 - y)
         lanes.append(packed)
 
-    state = bytearray(1 << (n - 1))
-    found = []
     index = len(state)
     spec = f"0{n - 1}b"
     while (index := state.rfind(0, 0, index)) >= 0:
@@ -133,7 +131,6 @@ def _exhaustive_bases(n: int) -> Iterator[ZnSet]:
         mask = int(residues[::-1] + "1", 2)
         if not is_basis(ZnSet(n, mask)):
             continue
-        found.append(mask)
         flags = ("1" + residues).encode().translate(_MEMBER_FLAGS)  # flags[x]: x in A
         images = memoryview(
             sum(itertools.compress(lanes, flags)).to_bytes(size, sys.byteorder)
@@ -141,8 +138,6 @@ def _exhaustive_bases(n: int) -> Iterator[ZnSet]:
         # flags * phi selects lane j*n + a exactly when a is a member
         for image in itertools.compress(images, flags * phi):
             state[image] = 1
-    found.sort()
-    for mask in found:
         yield ZnSet(n, mask)
 
 
@@ -152,76 +147,61 @@ def enumerate_bases(
     limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
 ) -> Iterator[ZnSet]:
     """Iterate over exactly one representative (the canonical form) per
-    affine orbit of bases of Z_n.  The arguments are checked at the call,
-    before the iterator is returned.
+    affine orbit of bases of Z_n, in the canonical order (ascending
+    canonical_sort_key).  The arguments are checked at the call, before
+    the iterator is returned.
 
-    Exhaustive mode (max_card None) requires n <= limit, and 2^(n-1) at
-    most sys.maxsize (n <= 63 on a 64-bit build).  It walks all 2^(n-1)
-    masks containing 0 with one byte of state per mask and generates each
-    basis orbit once (see _exhaustive_bases); representatives come in
-    ascending mask order.  Pass max_card to enumerate only orbits of
-    cardinality <= max_card; that mode runs the pruned search of
-    _canonical_bases with floor 0, since a state array of 2^(n-1) bytes
-    cannot be held at the moduli it serves, at the call, and yields by
-    size, each size in lexicographic order of the members.
+    Exhaustive mode (max_card None) requires n <= limit and allocates, at
+    the call, a state byte for each of the 2^(n-1) masks containing 0 (see
+    _exhaustive_bases).  Pass max_card to enumerate only orbits of at most
+    max_card members; that mode runs the pruned search of _canonical_bases
+    with floor 0 at the call, as no such state fits at the moduli it serves.
     """
     _check_args(n, max_card)
     if max_card is not None:
-        found = _canonical_bases(n, 0, max_card, 1)
-        masks = sorted(found, key=lambda m: (m.bit_count(), ZnSet(n, m).members))
-        return (ZnSet(n, mask) for mask in masks)
+        return (rep for rep, _ in _bases_above(n, 0, max_card, limit))
     if n > limit:
         raise ValueError(
             f"exhaustive enumeration is limited to n <= {limit}; "
             f"use a cardinality cap for n = {n}"
         )
-    if 1 << (n - 1) > sys.maxsize:
-        raise ValueError(
-            f"exhaustive enumeration of Z_{n} needs a state of 2^{n - 1} bytes, "
-            f"more than a bytearray can hold here (n <= {sys.maxsize.bit_length()})"
-        )
-    return _exhaustive_bases(n)
+    try:
+        state = bytearray(1 << (n - 1))
+    except (OverflowError, MemoryError):  # OverflowError: more than sys.maxsize
+        raise ValueError(f"exhaustive enumeration of Z_{n} needs a state of "
+                         f"2^{n - 1} bytes, more than can be allocated here") from None
+    return _exhaustive_bases(n, state)
 
 
-def _check_args(n: int, max_card: int | None, shards: int = 1) -> None:
+def _check_args(n: int, max_card: int | None) -> None:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if max_card is not None and not 1 <= max_card <= n:
         raise ValueError(f"max_card must be in [1, {n}], got {max_card}")
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-
-
-def _by_shard(items: list, shards: int) -> Iterator:
-    """The items taken shard by shard: shard s holds items[s::shards].
-    Every item lands in exactly one shard, and each caller merges by set
-    union or minimum, so the shard count never changes a result."""
-    for shard in range(shards):
-        yield from items[shard::shards]
 
 
 def _bases_above(
-    n: int, floor: int, max_card: int | None, limit: int, shards: int
+    n: int, floor: int, max_card: int | None, limit: int
 ) -> list[tuple[ZnSet, int]]:
     """(representative, order) for every basis orbit of Z_n with order above
-    floor, sorted by canonical_sort_key.
+    floor, in the canonical order (ascending canonical_sort_key).
 
-    Uncapped (max_card None) runs the orderly walk, which needs n <= limit;
-    the walk runs once and only the order computations are split into
-    shards.  Capped runs the pruned search of _canonical_bases.
+    Uncapped (max_card None) runs the orderly walk, which needs n <= limit
+    and meets the bases in that order.  Capped runs the pruned search of
+    _canonical_bases, whose bases are sorted here.
     """
-    if max_card is None:
-        found = []
-        for rep in _by_shard(list(enumerate_bases(n, None, limit)), shards):
-            rho = order(rep)
-            if rho is None:
-                raise RuntimeError(f"enumerated basis {rep!r} has infinite order")
-            if rho > floor:
-                found.append((rep, rho))
-    else:
+    if max_card is not None:
         found = [(ZnSet(n, mask), rho) for mask, rho
-                 in _canonical_bases(n, floor, max_card, shards).items()]
-    found.sort(key=lambda pair: canonical_sort_key(pair[0]))
+                 in _canonical_bases(n, floor, max_card).items()]
+        found.sort(key=lambda pair: canonical_sort_key(pair[0]))
+        return found
+    found = []
+    for rep in enumerate_bases(n, None, limit):
+        rho = order(rep)
+        if rho is None:
+            raise RuntimeError(f"enumerated basis {rep!r} has infinite order")
+        if rho > floor:
+            found.append((rep, rho))
     return found
 
 
@@ -244,12 +224,11 @@ def spectrum(
     n: int,
     max_card: int | None = None,
     limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
-    shards: int = 1,
 ) -> SpectrumReport:
     """Achieved-order spectrum of Z_n with gap runs and per-order witnesses."""
-    _check_args(n, max_card, shards)
+    _check_args(n, max_card)
     witness: dict[int, ZnSet] = {}
-    for rep, rho in _bases_above(n, 0, max_card, limit, shards):
+    for rep, rho in _bases_above(n, 0, max_card, limit):
         witness.setdefault(rho, rep)
     achieved = tuple(sorted(witness))
     return SpectrumReport(
@@ -270,7 +249,7 @@ def check_kl_bound(
     Returns (checked, violations): the number of orbits of order at least
     report.rho, and how many of them have more than report.bound elements.
     """
-    bases = _bases_above(report.n, report.rho - 1, None, limit, 1)
+    bases = _bases_above(report.n, report.rho - 1, None, limit)
     return len(bases), sum(len(rep) > report.bound for rep, _ in bases)
 
 
@@ -320,10 +299,10 @@ def check_kl_bound(
 # the new member are checked.  A triple T has |hT| <= C(h + 2, 2), so its
 # order is at least the least h with C(h + 2, 2) >= n; below that floor the
 # check cannot fire and is skipped.  A translate {0, y - x, z - x} recurs in
-# many sets, so one dict per search, shared by its shards and dropped when
-# the search returns, keeps whether each is a basis triple of order <= floor,
-# keyed by (y - x)*n + (z - x) with 0 < y - x < z - x: each triple order is
-# computed once per search.  Over the conjecture-sweep moduli that is 1,131
+# many sets, so one dict per search, dropped when the search returns, keeps
+# whether each is a basis triple of order <= floor, keyed by
+# (y - x)*n + (z - x) with 0 < y - x < z - x: each triple order is computed
+# once per search.  Over the conjecture-sweep moduli that is 1,131
 # computations instead of 3,812, and at (60, 5, cap 8) 1,112 instead of
 # 14,145.
 #
@@ -339,13 +318,9 @@ def check_kl_bound(
 # ZnSet only for order() and is_canonical.
 
 
-def _canonical_bases(n: int, floor: int, cap: int, shards: int) -> dict[int, int]:
+def _canonical_bases(n: int, floor: int, cap: int) -> dict[int, int]:
     """{canonical mask: order} for every basis orbit of Z_n with order above
-    floor and at most cap members.
-
-    The root triples {0, g, y} are split into shards by position (see
-    _by_shard).
-    """
+    floor and at most cap members."""
     if n == 1:
         return {1: 1} if floor < 1 else {}  # {0} is a basis of order 1
     check_triples = math.comb(floor + 2, 2) >= n  # else every triple order > floor
@@ -393,9 +368,9 @@ def _canonical_bases(n: int, floor: int, cap: int, shards: int) -> dict[int, int
         if rho > floor:
             found[0b11] = rho
     if cap >= 3:
-        roots = [(g, y) for g in divisors(n)[:-1] for y in range(g + 1, n)]
-        for g, y in _by_shard(roots, shards):
-            extend((0, g), 1 | 1 << g, y, g, g)
+        for g in divisors(n)[:-1]:
+            for y in range(g + 1, n):
+                extend((0, g), 1 | 1 << g, y, g, g)
     return found
 
 
@@ -404,7 +379,6 @@ def verify_conjecture(
     k: int,
     max_card: int | None = None,
     limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
-    shards: int = 1,
     use_kl_cap: bool = True,
 ) -> ConjectureReport:
     """Measure the largest gap-to-nearest-n/l over bases of order > n/k.
@@ -417,7 +391,7 @@ def verify_conjecture(
     to the exact bound for orders above n/k, which shrinks the search without
     changing its result.
     """
-    _check_args(n, max_card, shards)
+    _check_args(n, max_card)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
 
@@ -440,7 +414,7 @@ def verify_conjecture(
 
     exceeders = [
         Exceeder(rep, rho, *min_gap_to_fractions(rho, n, k))
-        for rep, rho in _bases_above(n, floor, cap, limit, shards)
+        for rep, rho in _bases_above(n, floor, cap, limit)
     ]
 
     max_min_gap = Fraction(0)

@@ -11,6 +11,7 @@ from znbases import (
     orbit,
     order,
 )
+from znbases.affine import _orbit_size
 from znbases.core import ZnSet
 
 from oracles import all_subsets, naive_canonical_form, naive_is_canonical
@@ -129,3 +130,30 @@ def test_canonicity_agrees_with_the_plain_set_oracle_up_to_n_200(case):
     assert c.members == least
     assert is_canonical(a) == (members == least)
     assert is_canonical(c) and naive_is_canonical(n, least)
+
+
+def test_orbit_size_counts_the_orbit_without_building_it():
+    # n*phi(n) over the stabilizer, read off the anchored images, against
+    # the orbit itself: every nonempty subset for n <= 10, then random sets
+    for n in range(1, 11):
+        for mask in range(1, 1 << n):
+            a = ZnSet(n, mask)
+            assert _orbit_size(a) == len(orbit(a)), a
+    rng = random.Random(60)
+    for _ in range(300):
+        n = rng.randint(1, 60)
+        a = ZnSet.from_members(n, rng.sample(range(n), rng.randint(1, n)))
+        assert _orbit_size(a) == len(orbit(a)), a
+    # the orbit of {0, 1, 3} in Z_2000 has 2000*800 members, none of them built
+    assert _orbit_size(ZnSet.from_text(2000, "0,1,3")) == 1_600_000
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 60).flatmap(
+    lambda n: st.sets(st.integers(0, n - 1), min_size=1, max_size=n).map(
+        lambda members: (n, tuple(sorted(members))))))
+@example((60, (0, 10, 20, 30, 40, 50)))  # a coset of 10Z_60: a large stabilizer
+def test_orbit_size_agrees_with_the_orbit_up_to_n_60(case):
+    n, members = case
+    a = ZnSet.from_members(n, members)
+    assert _orbit_size(a) == len(orbit(a))

@@ -52,6 +52,17 @@ def test_shard_count_below_one_exits_2():
         assert "shards must be >= 1" in res.output
 
 
+def test_exhaustive_state_that_cannot_be_allocated_exits_2():
+    # the 2^61-byte state of Z_62 cannot be allocated on a 64-bit build with
+    # 8 GiB; both commands that run the walk refuse with exit 2, no traceback
+    for args in (("spectrum", "--n", "62", "--exhaustive", "--limit", "62"),
+                 ("kl-bound", "--n", "62", "--rho", "5", "--check", "--limit", "62")):
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code == 2, args
+        assert res.stdout == "", args
+        assert "state of 2^61 bytes" in res.stderr, args
+
+
 def test_conjecture_cap_out_of_range_exits_2_before_the_trivial_cases():
     # k = 1 and n = 1 are answered without a search; the cap is still checked
     for args, n, cap in ((("--k", "3", "--n", "1", "--max-card", "0"), 1, 0),
