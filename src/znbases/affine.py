@@ -8,29 +8,27 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import ZnSet, mask_less
+from .core import ZnSet, _Value, mask_less
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(_Value):
     """x -> scale*x + shift mod modulus, with gcd(scale, modulus) = 1."""
 
-    scale: int
-    shift: int
-    modulus: int
+    __slots__ = ("scale", "shift", "modulus")
 
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be positive, got {self.modulus}")
-        if math.gcd(self.scale, self.modulus) != 1:
-            raise ValueError(
-                f"scale {self.scale} is not invertible mod {self.modulus}"
-            )
-        object.__setattr__(self, "scale", self.scale % self.modulus)
-        object.__setattr__(self, "shift", self.shift % self.modulus)
+    def __init__(self, scale: int, shift: int, modulus: int) -> None:
+        if modulus < 1:
+            raise ValueError(f"modulus must be positive, got {modulus}")
+        if math.gcd(scale, modulus) != 1:
+            raise ValueError(f"scale {scale} is not invertible mod {modulus}")
+        object.__setattr__(self, "scale", scale % modulus)
+        object.__setattr__(self, "shift", shift % modulus)
+        object.__setattr__(self, "modulus", modulus)
+
+    def _values(self) -> tuple:
+        return self.scale, self.shift, self.modulus
 
 
 def apply_affine(f: AffineMap, a: ZnSet) -> ZnSet:

@@ -10,19 +10,19 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple
 
 from .core import IntSet, ZnSet, divisors, nlr, record
 from .sumsets import order
 
 
-class KlTerm(NamedTuple):
+@record
+class KlTerm:
     d: int
     value: int
 
 
 @record
-class KlBoundBreakdown(NamedTuple):
+class KlBoundBreakdown:
     """Per-divisor evaluation of the cardinality bound max over d | n, d >= rho+1
     of (n/d) * (floor((d-2)/(rho-1)) + 1)."""
 
@@ -50,7 +50,8 @@ def kl_bound(n: int, rho: int) -> KlBoundBreakdown:
     return KlBoundBreakdown(n=n, rho=rho, terms=terms, bound=max(v for _, v in terms))
 
 
-class FlGrowthRecord(NamedTuple):
+@record
+class FlGrowthRecord:
     h: int
     size: int
     lower_bound: int
@@ -58,7 +59,7 @@ class FlGrowthRecord(NamedTuple):
 
 
 @record
-class FlGrowthReport(NamedTuple):
+class FlGrowthReport:
     """Integer-sumset growth |hA| >= |A| + (h-1)*span for normalized sets.
 
     When the hypothesis 2|A| - 3 >= span fails, the sizes are still recorded
@@ -121,7 +122,7 @@ def fl_growth_check(a: IntSet, h_max: int) -> FlGrowthReport:
 
 
 @record
-class SandwichBounds(NamedTuple):
+class SandwichBounds:
     """The classical two-sided order bound for A = {0, a, b} with a >= 2,
     a | n, gcd(a, b) = 1, against the measured order.
 
@@ -162,7 +163,7 @@ def sandwich_bounds(n: int, a: int, b: int) -> SandwichBounds:
 
 
 @record
-class PigeonholeWitness(NamedTuple):
+class PigeonholeWitness:
     """Smallest c in [1, k-1] whose multiple of t has numerically least residue
     of magnitude s <= n/k; r is the signed residue, s = |r|."""
 
@@ -190,7 +191,7 @@ def pigeonhole_witness(n: int, k: int, t: int) -> PigeonholeWitness:
 
 
 @record
-class WitnessOrderBound(NamedTuple):
+class WitnessOrderBound:
     """Order bound s + c*n/s for the triple {0, 1, t}, from a pigeonhole witness.
 
     s = 0 makes the bound infinite (bound is None) and the check vacuous.
@@ -217,7 +218,7 @@ def witness_order_bound(witness: PigeonholeWitness) -> WitnessOrderBound:
 
 
 @record
-class RepDecomposition(NamedTuple):
+class RepDecomposition:
     """Representation t = (d*n + e)/c with e the numerically least residue of
     c*t; applicable only when |e| <= c*k.
 
@@ -257,7 +258,7 @@ def rep_decompose(n: int, k: int, t: int, c: int) -> RepDecomposition:
 
 
 @record
-class FamilyRecord(NamedTuple):
+class FamilyRecord:
     """Measured order of {0, 1, k} in Z_n for one family modulus n = mk - 1."""
 
     k: int
@@ -293,6 +294,8 @@ def lower_bound_family(k: int, n_range: tuple[int, int]) -> list[FamilyRecord]:
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     lo, hi = n_range
+    if lo < 1:
+        raise ValueError(f"n must be positive, got {lo}")
     records = []
     # (k-2) + 1/k and (k-3) + 1/k over the denominator k; both numerators
     # are 1 mod k, so the forms are reduced and a gap equals one exactly

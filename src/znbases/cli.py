@@ -11,7 +11,6 @@ pigeonhole) finds a violated bound; 2 on usage errors.
 
 from __future__ import annotations
 
-import json
 import sys
 from fractions import Fraction
 
@@ -81,6 +80,8 @@ def _emit(fmt: str, payload, sections, lines) -> None:
     """
     write = sys.stdout.write  # looked up per call: CliRunner swaps sys.stdout
     if fmt == "json":
+        import json  # here, not at the top: only JSON output needs it
+
         write(json.dumps(encode(payload()), indent=2, sort_keys=True) + "\n")
     elif fmt == "csv":
         for header, rows in sections():

@@ -8,7 +8,7 @@ comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from types import UnionType
 from typing import Iterable, Iterator, get_args, get_origin, get_type_hints
@@ -62,8 +62,37 @@ def _literal_members(text: str, noun: str) -> Iterator[int]:
         yield m
 
 
-@dataclass(frozen=True)
-class ZnSet:
+class _Value:
+    """Base of the immutable value types.  Each subclass names its fields in
+    __slots__, sets them once in __init__ and returns them in that order
+    from _values; equality, hash, repr and pickling go by those values, and
+    assignment or deletion raises."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self.__slots__, self._values()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ZnSet(_Value):
     """A subset of Z_n: modulus plus a dense bit-indexed membership mask.
 
     Bit i of ``mask`` is set iff residue i is a member.  The dense form makes
@@ -71,13 +100,17 @@ class ZnSet:
     runtime of every sumset computation.
     """
 
-    modulus: int
-    mask: int = 0
+    __slots__ = ("modulus", "mask")
 
-    def __post_init__(self) -> None:
-        _check_positive(self.modulus)
-        if self.mask < 0 or self.mask >> self.modulus:
+    def __init__(self, modulus: int, mask: int = 0) -> None:
+        _check_positive(modulus)
+        if mask < 0 or mask >> modulus:
             raise ValueError("membership mask has bits outside [0, modulus)")
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "mask", mask)
+
+    def _values(self) -> tuple:
+        return self.modulus, self.mask
 
     @classmethod
     def from_members(cls, modulus: int, members: Iterable[int]) -> ZnSet:
@@ -168,8 +201,7 @@ def canonical_sort_key(a: ZnSet) -> int:
     return int(format(a.mask ^ ((1 << n) - 1), f"0{n}b")[::-1], 2)
 
 
-@dataclass(frozen=True)
-class IntSet:
+class IntSet(_Value):
     """A finite set of nonnegative integers, used for integer-sumset growth checks.
 
     The growth theorem expects the normalized form 0 in A, max(A) in A (the
@@ -177,16 +209,18 @@ class IntSet:
     not forced at construction.
     """
 
-    members: tuple[int, ...]
+    __slots__ = ("members",)
 
-    def __post_init__(self) -> None:
-        ms = tuple(sorted(set(self.members)))
-        if ms != self.members:
-            object.__setattr__(self, "members", ms)
-        if not self.members:
+    def __init__(self, members: tuple[int, ...]) -> None:
+        ms = tuple(sorted(set(members)))
+        if not ms:
             raise ValueError("IntSet must be nonempty")
-        if self.members[0] < 0:
+        if ms[0] < 0:
             raise ValueError("IntSet members must be nonnegative")
+        object.__setattr__(self, "members", ms)
+
+    def _values(self) -> tuple:
+        return (self.members,)
 
     @classmethod
     def from_text(cls, text: str) -> IntSet:
@@ -317,19 +351,26 @@ def _decode(tp, value, modulus: int | None):
 
 
 def record(cls=None, *, with_modulus: dict[str, str] | None = None):
-    """Class decorator for report named tuples: one type-driven JSON codec
-    for all.
+    """Class decorator for report records: a named tuple built from a plain
+    annotated class, with one type-driven JSON codec for all.
 
-    It attaches to_dict, which applies `encode`, and from_dict, which
-    inverts it from the field annotations.  `with_modulus` maps a ZnSet
-    field to the key of its set literal: that field is written as two keys,
-    "modulus" and the given one, and so carries its own modulus.  Every
-    other ZnSet takes it from the enclosing record's `n` or `modulus` key.
+    The fields are the class's annotations in order, and the class
+    attributes named like fields are their defaults.  The result is a
+    subclass of collections.namedtuple with __slots__ = () that keeps the
+    class's docstring, methods, properties and __annotations__.  It gets
+    to_dict, which applies `encode`, and from_dict, which inverts it from
+    the field annotations.  `with_modulus` maps a ZnSet field to the key of
+    its set literal: that field is written as two keys, "modulus" and the
+    given one, and so carries its own modulus.  Every other ZnSet takes it
+    from the enclosing record's `n` or `modulus` key.
     """
-    def attach(cls):
-        cls._with_modulus = with_modulus or {}
-        cls.to_dict = encode
-        cls.from_dict = classmethod(lambda cls, d: _decode(cls, d, None))
-        return cls
+    def build(cls):
+        ns = {k: v for k, v in vars(cls).items() if k not in ("__dict__", "__weakref__")}
+        fields = tuple(cls.__annotations__)
+        base = namedtuple(cls.__name__, fields, module=cls.__module__,
+                          defaults=[ns.pop(f) for f in fields if f in ns])
+        ns.update(__slots__=(), _with_modulus=with_modulus or {}, to_dict=encode,
+                  from_dict=classmethod(lambda cls, d: _decode(cls, d, None)))
+        return type(cls.__name__, (base,), ns)
 
-    return attach if cls is None else attach(cls)
+    return build if cls is None else build(cls)

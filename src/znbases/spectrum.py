@@ -13,7 +13,7 @@ import itertools
 import math
 import sys
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .affine import is_canonical, units
 from .bounds import KlBoundBreakdown, kl_bound, min_gap_to_fractions
@@ -26,13 +26,14 @@ DEFAULT_EXHAUSTIVE_LIMIT = 20
 DEFAULT_CARD_CAP = 6
 
 
-class OrderWitness(NamedTuple):
+@record
+class OrderWitness:
     order: int
     witness: ZnSet
 
 
 @record
-class SpectrumReport(NamedTuple):
+class SpectrumReport:
     """Achieved finite orders over one representative per basis orbit.
 
     gaps are the maximal runs inside [1, n-1] with no achieved order; each
@@ -48,7 +49,7 @@ class SpectrumReport(NamedTuple):
 
 
 @record
-class Exceeder(NamedTuple):
+class Exceeder:
     """One basis orbit whose order exceeds n/k, with its gap to the nearest n/l."""
 
     witness: ZnSet
@@ -58,7 +59,7 @@ class Exceeder(NamedTuple):
 
 
 @record
-class ConjectureReport(NamedTuple):
+class ConjectureReport:
     """Empirical gap measurement over all enumerated bases with order > n/k.
 
     max_min_gap is the largest, over those bases, of the distance from the

@@ -16,7 +16,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from operator import sub
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .core import ZnSet, divisors, record
 from .sumsets import add_sets, order
@@ -138,7 +138,7 @@ def ap_cover(s: ZnSet, coprime_only: bool = False) -> tuple[int, int, int]:
 
 
 @record
-class StructureReport(NamedTuple):
+class StructureReport:
     """Coset statistics of A relative to the size-m subgroup H of Z_n.
 
     inequality_holds records (l - 1)*m <= |2A| - |A|, with l replaced by
@@ -157,7 +157,7 @@ class StructureReport(NamedTuple):
 
 
 @record(with_modulus={"input_set": "set"})
-class DfAnalysis(NamedTuple):
+class DfAnalysis:
     """Small-doubling structure scan of A over every proper subgroup of Z_n.
 
     The hypothesis flags record whether the doubling ratio is below sigma and
@@ -261,7 +261,7 @@ def _doublings(a: ZnSet, sigma: Fraction) -> tuple[int, ZnSet, list[int]]:
 
 
 @record(with_modulus={"input_set": "set"})
-class PipelineTrace(NamedTuple):
+class PipelineTrace:
     """Every intermediate quantity of the large-order structure argument, run
     end to end on a concrete basis: doubling search, structure scan of the
     doubled set, coset counts, branch selection, and the evaluated slack of

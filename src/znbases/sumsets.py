@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .core import ZnSet, record
 
@@ -140,7 +139,7 @@ def _simplest_fraction(
 
 
 @record(with_modulus={"base": "base"})
-class SumsetTrajectory(NamedTuple):
+class SumsetTrajectory:
     """The level-by-level record of hA up to full cover or stabilization.
 
     ``levels[h-1]`` is hA of the 0-translated base; ``order`` is the least h

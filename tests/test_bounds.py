@@ -170,13 +170,19 @@ def test_family_spec_examples():
 def test_family_skips_non_family_moduli():
     recs = lower_bound_family(4, (21, 30))
     assert [r.n for r in recs] == [23, 27]
-    # lo from below k + 1 through a full residue cycle; hi < lo, = lo, > lo
+    # lo from 1, below k + 1, through a full residue cycle; hi < lo, = lo, > lo
     for k in range(2, 7):
-        for lo in range(0, 2 * k + 2):
+        for lo in range(1, 2 * k + 2):
             for hi in (lo - 1, lo, lo + 3 * k):
                 expected = [n for n in range(max(lo, k + 1), hi + 1) if n % k == k - 1]
                 got = [r.n for r in lower_bound_family(k, (lo, hi))]
                 assert got == expected, (k, lo, hi)
+
+
+@pytest.mark.parametrize("lo", [0, -5])
+def test_family_refuses_moduli_below_one(lo):
+    with pytest.raises(ValueError, match=f"n must be positive, got {lo}"):
+        lower_bound_family(3, (lo, 8))
 
 
 def test_family_orders_match_naive_oracle():

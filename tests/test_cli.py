@@ -82,6 +82,16 @@ def test_spectrum_cap_out_of_range_exits_2():
         assert f"max_card must be in [1, 5], got {cap}" in res.stderr
 
 
+def test_family_range_below_one_exits_2():
+    # refused as conjecture refuses it, not answered with the rows n >= 1
+    for text, lo in (("-5..8", -5), ("0..3", 0)):
+        for cmd in ("family", "conjecture"):
+            res = run(cmd, "--k", "3", "--n-range", text)
+            assert res.exit_code == 2, (cmd, text)
+            assert res.stdout == "", (cmd, text)
+            assert f"n must be positive, got {lo}" in res.stderr, (cmd, text)
+
+
 def test_bad_set_token_is_named_with_its_literal():
     for text, token in ((",,", ""), ("1,x", "x"), ("0, 2.5", "2.5")):
         res = run("order", "--n", "5", "--set", text)

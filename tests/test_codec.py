@@ -7,16 +7,18 @@ Reports are named tuples, whose == ignores the class, so the decoded types
 are checked too, nested records included.
 """
 
+import copy
 import importlib
 import json
+import pickle
 import pkgutil
-from dataclasses import is_dataclass
 
 import pytest
 from click.testing import CliRunner
 
 import znbases
 from znbases import (
+    AffineMap,
     df_analyze,
     fl_growth_check,
     kl_bound,
@@ -117,20 +119,56 @@ def test_report_round_trip(cls, make):
         assert_types(back, cls)
 
 
-def test_reports_are_named_tuples_and_values_are_dataclasses():
-    """Report types are tuple subclasses carrying the codec; the only
-    dataclasses in the package are the three validated value types."""
-    for cls in {cls for cls, _, _ in CASES}:
-        assert issubclass(cls, tuple) and hasattr(cls, "_fields"), cls
-        assert callable(cls.to_dict) and callable(cls.from_dict), cls
+def test_reports_are_named_tuples_and_values_are_slotted():
+    """Every report type in the package is a tuple subclass carrying the
+    codec; the three validated value types are slotted and immutable, compare
+    and hash by their fields, and keep their reprs."""
     modules = [importlib.import_module(f"znbases.{m.name}")
                for m in pkgutil.iter_modules(znbases.__path__)]
-    found = {obj.__name__
-             for module in modules
-             for obj in vars(module).values()
-             if isinstance(obj, type) and is_dataclass(obj)
-             and obj.__module__ == module.__name__}
-    assert found == {"ZnSet", "IntSet", "AffineMap"}
+    reports = {obj for module in modules for obj in vars(module).values()
+               if isinstance(obj, type) and issubclass(obj, tuple)
+               and obj.__module__ == module.__name__}
+    assert len(reports) == 17
+    assert reports >= {cls for cls, _, _ in CASES} | {
+        inner for nested in NESTED.values() for inner in nested.values()}
+    for cls in reports:
+        assert hasattr(cls, "_fields"), cls
+        assert callable(cls.to_dict) and callable(cls.from_dict), cls
+    values = {
+        ZnSet(5, 3): "ZnSet(5, {0,1})",
+        IntSet((3, 1, 0, 1)): "IntSet(members=(0, 1, 3))",
+        AffineMap(6, 5, 5): "AffineMap(scale=1, shift=0, modulus=5)",
+    }
+    for value, text in values.items():
+        assert repr(value) == text
+        assert value.__slots__ and not hasattr(value, "__dict__")
+        for name in value.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(value, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        twin = type(value)(*(getattr(value, f) for f in value.__slots__))
+        assert twin is not value and twin == value and hash(twin) == hash(value)
+        assert value != tuple(getattr(value, f) for f in value.__slots__)
+    assert ZnSet(5, 3) != ZnSet(6, 3) and ZnSet(5, 3) != ZnSet(5, 1)
+    assert AffineMap(1, 0, 5) != AffineMap(2, 0, 5)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: ZnSet(64, 12345), id="ZnSet"),
+    pytest.param(lambda: IntSet((0, 1, 3)), id="IntSet"),
+    pytest.param(lambda: AffineMap(7, 3, 10), id="AffineMap"),
+    pytest.param(lambda: kl_bound(12, 5), id="bounds"),
+    pytest.param(lambda: verify_conjecture(20, 3, max_card=5), id="spectrum"),
+    pytest.param(lambda: df_analyze(SMALL_DOUBLING), id="structure"),
+    pytest.param(lambda: pipeline_trace(SMALL_DOUBLING, 3), id="structure-defaults"),
+    pytest.param(lambda: trajectory(ZnSet.from_text(9, "0,1,3")), id="sumsets"),
+])
+def test_values_and_reports_survive_pickle_and_copy(make):
+    value = make()
+    for back in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+        assert type(back) is type(value)
+        assert back == value and hash(back) == hash(value)
 
 
 def test_nested_set_without_modulus_is_refused():
