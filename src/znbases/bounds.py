@@ -145,6 +145,8 @@ def sandwich_bounds(n: int, a: int, b: int) -> SandwichBounds:
     """Evaluate the classical two-sided bound for the triple {0, a, b} against
     its true order.  The claim is checked, not assumed: `holds` is False
     where its false n/a - 1 side is undercut (see `SandwichBounds`)."""
+    if n < 4:  # the least n with a proper divisor in [2, n - 1]
+        raise ValueError(f"n must be >= 4, got {n}")
     if not 2 <= a <= n - 1 or n % a != 0:
         raise ValueError(f"a must be a proper divisor of n in [2, {n - 1}], got {a}")
     if not 1 <= b <= n - 1 or b == a:
@@ -176,6 +178,8 @@ class PigeonholeWitness:
 
 
 def pigeonhole_witness(n: int, k: int, t: int) -> PigeonholeWitness:
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if not 1 <= t < n:

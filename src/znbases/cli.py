@@ -366,8 +366,7 @@ def fl_check_cmd(set_text: str, h_max: int, fmt: str) -> None:
           lambda: report,
           lambda: [("members,span,hypothesis_ok",
                     [(report.members, report.span, report.hypothesis_ok)]),
-                   ("h,size,lower_bound,holds",
-                    [(r.h, r.size, r.lower_bound, r.holds) for r in report.records])],
+                   ("h,size,lower_bound,holds", report.records)],
           lines)
     if report.hypothesis_ok and not report.all_hold:
         sys.exit(1)
@@ -387,8 +386,7 @@ def sandwich_cmd(n: int, a: int, b: int, fmt: str) -> None:
     mark = "ok" if r.holds else "VIOLATED"
     _emit(fmt,
           lambda: r,
-          lambda: [("n,a,b,lower,upper,actual,holds",
-                    [(n, a, b, r.lower, r.upper, r.actual, r.holds)])],
+          lambda: [("n,a,b,lower,upper,actual,holds", [r])],
           lambda: [f"{r.lower} <= order {{0,{a},{b}}} = {r.actual} <= {r.upper}: {mark}"])
     if not r.holds:
         sys.exit(1)
@@ -458,10 +456,7 @@ def df_analyze_cmd(n: int, set_text: str, sigma: str, coprime_diff: bool, fmt: s
     _emit(fmt,
           lambda: an,
           lambda: [("m,q,cosets_met,max_coset_fraction,ap_start,ap_diff,ap_len,case,"
-                    "inequality_holds",
-                    [(r.m, r.q, r.cosets_met, r.max_coset_fraction, r.ap_start,
-                      r.ap_diff, r.ap_len, r.case, r.inequality_holds)
-                     for r in an.reports]),
+                    "inequality_holds", an.reports),
                    ("set_size,double_size,doubling_ratio,doubling_ok,density_ok,best_m",
                     [(an.set_size, an.double_size, an.doubling_ratio,
                       an.doubling_hypothesis_ok, an.density_hypothesis_ok,

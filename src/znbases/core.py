@@ -10,8 +10,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from types import UnionType
-from typing import Iterable, Iterator, get_args, get_origin, get_type_hints
+from typing import Iterable, Iterator
 
 
 def _check_positive(modulus: int) -> None:
@@ -320,57 +319,24 @@ def encode(value):
     return value
 
 
-def _decode(tp, value, modulus: int | None):
-    """Rebuild a value of annotated type `tp` from its JSON form; a ZnSet
-    takes the modulus of the nearest enclosing record that names one."""
-    if value is None:
-        return None
-    if isinstance(tp, UnionType):
-        (tp,) = [t for t in get_args(tp) if t is not type(None)]
-    if tp is ZnSet:
-        if modulus is None:
-            raise ValueError(f"no enclosing n or modulus for the set {value!r}")
-        return ZnSet.from_text(modulus, value)
-    if tp is Fraction:
-        return Fraction(value)
-    if hasattr(tp, "_fields"):
-        modulus = value.get("n", value.get("modulus", modulus))
-        hints = get_type_hints(tp)
-        split = getattr(tp, "_with_modulus", {})
-        return tp(*(
-            ZnSet.from_text(value["modulus"], value[split[k]]) if k in split
-            else _decode(hints[k], value[k], modulus)
-            for k in tp._fields
-        ))
-    if get_origin(tp) is tuple:
-        args = get_args(tp)
-        if len(args) == 2 and args[1] is Ellipsis:
-            return tuple(_decode(args[0], v, modulus) for v in value)
-        return tuple(_decode(t, v, modulus) for t, v in zip(args, value))
-    return value
-
-
 def record(cls=None, *, with_modulus: dict[str, str] | None = None):
     """Class decorator for report records: a named tuple built from a plain
-    annotated class, with one type-driven JSON codec for all.
+    annotated class, written to JSON by the one encoder.
 
     The fields are the class's annotations in order, and the class
     attributes named like fields are their defaults.  The result is a
     subclass of collections.namedtuple with __slots__ = () that keeps the
     class's docstring, methods, properties and __annotations__.  It gets
-    to_dict, which applies `encode`, and from_dict, which inverts it from
-    the field annotations.  `with_modulus` maps a ZnSet field to the key of
-    its set literal: that field is written as two keys, "modulus" and the
-    given one, and so carries its own modulus.  Every other ZnSet takes it
-    from the enclosing record's `n` or `modulus` key.
+    to_dict, which applies `encode`.  `with_modulus` maps a ZnSet field to
+    the key of its set literal: that field is written as two keys,
+    "modulus" and the given one, and so carries its own modulus.
     """
     def build(cls):
         ns = {k: v for k, v in vars(cls).items() if k not in ("__dict__", "__weakref__")}
         fields = tuple(cls.__annotations__)
         base = namedtuple(cls.__name__, fields, module=cls.__module__,
                           defaults=[ns.pop(f) for f in fields if f in ns])
-        ns.update(__slots__=(), _with_modulus=with_modulus or {}, to_dict=encode,
-                  from_dict=classmethod(lambda cls, d: _decode(cls, d, None)))
+        ns.update(__slots__=(), _with_modulus=with_modulus or {}, to_dict=encode)
         return type(cls.__name__, (base,), ns)
 
     return build if cls is None else build(cls)

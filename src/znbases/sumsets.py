@@ -160,25 +160,15 @@ def trajectory(a: ZnSet) -> SumsetTrajectory:
         raise ValueError("trajectory of an empty set")
     base = a.rotate(-(a.mask & -a.mask).bit_length() + 1)
     levels = [base]
-    cur = base
-    while True:
-        if cur.is_full():
-            return SumsetTrajectory(
-                base=base,
-                levels=tuple(levels),
-                sizes=tuple(len(lv) for lv in levels),
-                order=len(levels),
-                stabilized=None,
-            )
-        nxt = add_sets(cur, base)
-        if nxt == cur:
-            levels.append(nxt)
-            return SumsetTrajectory(
-                base=base,
-                levels=tuple(levels),
-                sizes=tuple(len(lv) for lv in levels),
-                order=None,
-                stabilized=cur,
-            )
-        levels.append(nxt)
-        cur = nxt
+    while not levels[-1].is_full():
+        levels.append(add_sets(levels[-1], base))
+        if levels[-1] == levels[-2]:  # stabilized short of Z_n
+            break
+    full = levels[-1].is_full()
+    return SumsetTrajectory(
+        base=base,
+        levels=tuple(levels),
+        sizes=tuple(len(lv) for lv in levels),
+        order=len(levels) if full else None,
+        stabilized=None if full else levels[-1],
+    )

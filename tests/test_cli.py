@@ -213,6 +213,18 @@ def test_sandwich_exit_codes():
     assert run("sandwich", "--n", "9", "--a", "2", "--b", "1").exit_code == 2
 
 
+def test_modulus_too_small_is_named_before_the_other_arguments():
+    # below these moduli no t or a is valid, so the message names n itself
+    for args, n, least in ((("pigeonhole", "--k", "2", "--t", "3"), "0", 2),
+                           (("pigeonhole", "--k", "2", "--t", "3"), "1", 2),
+                           (("sandwich", "--a", "2", "--b", "1"), "0", 4),
+                           (("sandwich", "--a", "2", "--b", "1"), "1", 4),
+                           (("sandwich", "--a", "2", "--b", "1"), "3", 4)):
+        res = CliRunner().invoke(main, [*args, "--n", n])
+        assert (res.exit_code, res.stdout) == (2, ""), args
+        assert f"n must be >= {least}, got {n}" in res.stderr, args
+
+
 def test_pigeonhole_output():
     res = run("pigeonhole", "--n", "100", "--k", "4", "--t", "34", "--format", "csv")
     assert res.exit_code == 0
