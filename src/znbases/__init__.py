@@ -6,7 +6,7 @@ reduction, small-doubling structure analysis, and desk-scale verification of
 the classical growth and cardinality bounds that govern them.
 """
 
-from .affine import AffineMap, apply_affine, canonical_form, is_canonical, orbit
+from .affine import canonical_form, is_canonical
 from .bounds import (
     FamilyRecord,
     FlGrowthReport,
@@ -23,7 +23,7 @@ from .bounds import (
     sandwich_bounds,
     witness_order_bound,
 )
-from .core import IntSet, ZnSet, divisors, is_basis, nlr
+from .core import ZnSet, divisors, is_basis, nlr
 from .spectrum import (
     ConjectureReport,
     SpectrumReport,
@@ -46,12 +46,10 @@ from .sumsets import SumsetTrajectory, add_sets, h_fold, order, trajectory
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineMap",
     "ConjectureReport",
     "DfAnalysis",
     "FamilyRecord",
     "FlGrowthReport",
-    "IntSet",
     "KlBoundBreakdown",
     "PigeonholeWitness",
     "PipelineTrace",
@@ -64,7 +62,6 @@ __all__ = [
     "ZnSet",
     "add_sets",
     "ap_cover",
-    "apply_affine",
     "canonical_form",
     "coset_profile",
     "df_analyze",
@@ -77,7 +74,6 @@ __all__ = [
     "kl_bound",
     "lower_bound_family",
     "nlr",
-    "orbit",
     "order",
     "pigeonhole_witness",
     "pipeline_trace",

@@ -1,4 +1,4 @@
-"""The affine action u*A + v on subsets of Z_n, orbits, and canonical forms.
+"""The affine action u*A + v on subsets of Z_n: orbit sizes and canonical forms.
 
 Basis order is invariant under any map x -> u*x + v with gcd(u, n) = 1, so
 enumeration only ever needs one representative per affine orbit.
@@ -10,35 +10,7 @@ import itertools
 import math
 from functools import lru_cache
 
-from .core import ZnSet, _Value, mask_less
-
-
-class AffineMap(_Value):
-    """x -> scale*x + shift mod modulus, with gcd(scale, modulus) = 1."""
-
-    __slots__ = ("scale", "shift", "modulus")
-
-    def __init__(self, scale: int, shift: int, modulus: int) -> None:
-        if modulus < 1:
-            raise ValueError(f"modulus must be positive, got {modulus}")
-        if math.gcd(scale, modulus) != 1:
-            raise ValueError(f"scale {scale} is not invertible mod {modulus}")
-        object.__setattr__(self, "scale", scale % modulus)
-        object.__setattr__(self, "shift", shift % modulus)
-        object.__setattr__(self, "modulus", modulus)
-
-    def _values(self) -> tuple:
-        return self.scale, self.shift, self.modulus
-
-
-def apply_affine(f: AffineMap, a: ZnSet) -> ZnSet:
-    if f.modulus != a.modulus:
-        raise ValueError(f"modulus mismatch: {f.modulus} != {a.modulus}")
-    n = a.modulus
-    mask = 0
-    for m in a:
-        mask |= 1 << ((f.scale * m + f.shift) % n)
-    return ZnSet(n, mask)
+from .core import ZnSet, mask_less
 
 
 @lru_cache(maxsize=None)
@@ -125,26 +97,13 @@ def is_canonical(a: ZnSet) -> bool:
 
 
 def _orbit_size(a: ZnSet) -> int:
-    """len(orbit(a)) as n*phi(n) / |Stab(A)|.  The maps sending A to its
-    canonical form C, one coset of the stabilizer, each send a pair with gcd
-    g to (0, g), C's first two members: they are the anchored images equal
-    to C, each met once."""
+    """The number of distinct images u*A + v, as n*phi(n) / |Stab(A)|.  The
+    maps sending A to its canonical form C, one coset of the stabilizer, each
+    send a pair with gcd g to (0, g), C's first two members: they are the
+    anchored images equal to C, each met once."""
     n = a.modulus
     if len(a) == 1:
         return n
     canon = canonical_form(a)
     images = _anchored_images(a.members, n, canon.members[1])
     return n * len(units(n)) // sum(image == canon.mask for image in images)
-
-
-def orbit(a: ZnSet) -> frozenset[ZnSet]:
-    """All distinct images of A under the n*phi(n) affine maps."""
-    if not a:
-        raise ValueError("orbit of an empty set")
-    n = a.modulus
-    out = set()
-    for u in units(n):
-        base = apply_affine(AffineMap(u, 0, n), a)
-        for v in range(n):
-            out.add(base.rotate(v))
-    return frozenset(out)

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Iterable
 
-from .core import IntSet, ZnSet, divisors, nlr, record
+from .core import ZnSet, divisors, nlr, record
 from .sumsets import order
 
 
@@ -96,17 +97,29 @@ def int_sumset_sizes(members: tuple[int, ...], h_max: int) -> list[int]:
     return sizes
 
 
-def fl_growth_check(a: IntSet, h_max: int) -> FlGrowthReport:
-    """Check |hA| >= |A| + (h-1)*span for h = 1..h_max over integer sumsets."""
-    err = a.normalization_error()
-    if err is not None:
-        raise ValueError(f"set is not normalized: {err}")
+def fl_growth_check(members: Iterable[int], h_max: int) -> FlGrowthReport:
+    """Check |hA| >= |A| + (h-1)*span for h = 1..h_max over integer sumsets.
+
+    A is the set of the given integers.  The growth theorem expects it
+    normalized: 0 in A, a positive span max(A), and gcd(A) = 1."""
+    ms = tuple(sorted(set(members)))
+    if not ms:
+        raise ValueError("the set must be nonempty")
+    if ms[0] < 0:
+        raise ValueError(f"members must be nonnegative, got {ms[0]}")
+    if ms[0] != 0:
+        raise ValueError("set is not normalized: 0 must be a member")
+    if len(ms) < 2:
+        raise ValueError("set is not normalized: at least two members required "
+                         "(span must be positive)")
+    if math.gcd(*ms) != 1:
+        raise ValueError("set is not normalized: gcd of members must be 1")
     if h_max < 1:
         raise ValueError(f"h_max must be >= 1, got {h_max}")
-    card = len(a)
-    span = a.span
+    card = len(ms)
+    span = ms[-1]
     hypothesis_ok = 2 * card - 3 >= span
-    sizes = int_sumset_sizes(a.members, h_max)
+    sizes = int_sumset_sizes(ms, h_max)
     records = tuple(
         FlGrowthRecord(
             h=h,
@@ -117,7 +130,7 @@ def fl_growth_check(a: IntSet, h_max: int) -> FlGrowthReport:
         for h in range(1, h_max + 1)
     )
     return FlGrowthReport(
-        members=a.members, span=span, hypothesis_ok=hypothesis_ok, records=records
+        members=ms, span=span, hypothesis_ok=hypothesis_ok, records=records
     )
 
 

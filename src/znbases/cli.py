@@ -27,7 +27,7 @@ from .bounds import (
     sandwich_bounds,
     witness_order_bound,
 )
-from .core import IntSet, ZnSet, encode, format_fraction, format_order
+from .core import ZnSet, _literal_members, encode, format_fraction, format_order
 from .spectrum import (
     DEFAULT_CARD_CAP,
     DEFAULT_EXHAUSTIVE_LIMIT,
@@ -353,7 +353,10 @@ def fl_check_cmd(set_text: str, h_max: int, fmt: str) -> None:
 
     Exits 1 if the bound fails anywhere while its hypothesis holds.
     """
-    report = fl_growth_check(IntSet.from_text(set_text), h_max)
+    text = set_text.strip()
+    if not text:
+        raise click.UsageError("empty integer set literal")
+    report = fl_growth_check(_literal_members(text, "member"), h_max)
 
     def lines():
         hyp = "holds" if report.hypothesis_ok else "FAILS (records not asserted)"
@@ -489,6 +492,8 @@ def family_cmd(k: int, n_range: str, fmt: str) -> None:
     """Measured orders of {0,1,k} for moduli n = -1 mod k in the range."""
     lo, hi = _parse_range(n_range)
     records = lower_bound_family(k, (lo, hi))
+    if not records:
+        raise click.UsageError(f"no modulus n = -1 mod {k} above {k} in range {n_range!r}")
 
     def lines():
         for r in records:

@@ -1,4 +1,4 @@
-"""Exact arithmetic primitives and the fundamental set types over Z_n and Z.
+"""Exact arithmetic primitives and the set type over Z_n.
 
 Everything here is exact integer arithmetic.  Rational quantities are
 fractions.Fraction; floating point never appears in any computation or
@@ -61,42 +61,13 @@ def _literal_members(text: str, noun: str) -> Iterator[int]:
         yield m
 
 
-class _Value:
-    """Base of the immutable value types.  Each subclass names its fields in
-    __slots__, sets them once in __init__ and returns them in that order
-    from _values; equality, hash, repr and pickling go by those values, and
-    assignment or deletion raises."""
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self.__slots__, self._values()))
-        return f"{self.__class__.__qualname__}({fields})"
-
-    def __reduce__(self):
-        return self.__class__, self._values()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-class ZnSet(_Value):
+class ZnSet:
     """A subset of Z_n: modulus plus a dense bit-indexed membership mask.
 
     Bit i of ``mask`` is set iff residue i is a member.  The dense form makes
     unions and rotations O(n/word) big-int operations, which dominate the
-    runtime of every sumset computation.
+    runtime of every sumset computation.  The value is immutable: equality,
+    hash and pickling go by (modulus, mask), and assignment or deletion raises.
     """
 
     __slots__ = ("modulus", "mask")
@@ -108,8 +79,22 @@ class ZnSet(_Value):
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "mask", mask)
 
-    def _values(self) -> tuple:
-        return self.modulus, self.mask
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.modulus == other.modulus and self.mask == other.mask
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.modulus, self.mask))
+
+    def __reduce__(self):
+        return self.__class__, (self.modulus, self.mask)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @classmethod
     def from_members(cls, modulus: int, members: Iterable[int]) -> ZnSet:
@@ -133,10 +118,6 @@ class ZnSet(_Value):
         if not text:
             return cls(modulus, 0)
         return cls.from_members(modulus, _literal_members(text, "residue"))
-
-    @classmethod
-    def full(cls, modulus: int) -> ZnSet:
-        return cls(modulus, (1 << modulus) - 1)
 
     @property
     def members(self) -> tuple[int, ...]:
@@ -198,57 +179,6 @@ def canonical_sort_key(a: ZnSet) -> int:
     residue 0 is the most significant bit and membership sorts first."""
     n = a.modulus
     return int(format(a.mask ^ ((1 << n) - 1), f"0{n}b")[::-1], 2)
-
-
-class IntSet(_Value):
-    """A finite set of nonnegative integers, used for integer-sumset growth checks.
-
-    The growth theorem expects the normalized form 0 in A, max(A) in A (the
-    span), gcd(A) = 1; normalization is checked by the growth-check operation,
-    not forced at construction.
-    """
-
-    __slots__ = ("members",)
-
-    def __init__(self, members: tuple[int, ...]) -> None:
-        ms = tuple(sorted(set(members)))
-        if not ms:
-            raise ValueError("IntSet must be nonempty")
-        if ms[0] < 0:
-            raise ValueError("IntSet members must be nonnegative")
-        object.__setattr__(self, "members", ms)
-
-    def _values(self) -> tuple:
-        return (self.members,)
-
-    @classmethod
-    def from_text(cls, text: str) -> IntSet:
-        """Parse a set literal of nonnegative integers, e.g. "0,1,3"; the
-        tokens follow the rules of ZnSet.from_text, and empty text is refused."""
-        text = text.strip()
-        if not text:
-            raise ValueError("empty integer set literal")
-        return cls(tuple(_literal_members(text, "member")))
-
-    @property
-    def span(self) -> int:
-        return self.members[-1]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.members)
-
-    def normalization_error(self) -> str | None:
-        """Name the violated normalization condition, or None if normalized."""
-        if 0 not in self.members:
-            return "0 must be a member"
-        if len(self.members) < 2:
-            return "at least two members required (span must be positive)"
-        if math.gcd(*self.members) != 1:
-            return "gcd of members must be 1"
-        return None
 
 
 def is_basis(a: ZnSet) -> bool:

@@ -96,6 +96,16 @@ def naive_images(n: int, members):
                 yield tuple(sorted([(y + v) % n for y in scaled]))
 
 
+def naive_orbit(n: int, members) -> set[tuple[int, ...]]:
+    """The distinct affine images of A, each as a sorted tuple of residues."""
+    return set(naive_images(n, members))
+
+
+def affine_image(n: int, members, u: int, v: int) -> tuple[int, ...]:
+    """u*A + v for one map (u a unit mod n), as a sorted tuple of residues."""
+    return tuple(sorted({(u * x + v) % n for x in members}))
+
+
 def naive_canonical_form(n: int, members) -> tuple[int, ...]:
     """The least affine image of the nonempty set A, as a sorted tuple.
 

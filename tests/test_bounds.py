@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,6 @@ from znbases import (
     witness_order_bound,
 )
 from znbases.bounds import int_sumset_sizes, min_gap_to_fractions
-from znbases.core import IntSet
 
 from oracles import naive_min_gap, naive_order
 
@@ -34,20 +34,31 @@ def test_kl_bound_rejects_out_of_range_rho():
 
 
 def test_fl_growth_spec_examples():
-    r = fl_growth_check(IntSet((0, 1, 2)), 3)
+    r = fl_growth_check((0, 1, 2), 3)
     assert r.records[2].size == 7 and r.records[2].lower_bound == 7
     assert r.all_hold
-    r2 = fl_growth_check(IntSet((0, 1, 3)), 2)
+    r2 = fl_growth_check((0, 1, 3), 2)
     assert r2.records[1].size == 6 and r2.records[1].holds
-    r3 = fl_growth_check(IntSet((0, 2, 3, 7)), 4)
+    r3 = fl_growth_check((0, 2, 3, 7), 4)
     assert not r3.hypothesis_ok
 
 
 def test_fl_growth_rejects_unnormalized():
     with pytest.raises(ValueError, match="0 must be a member"):
-        fl_growth_check(IntSet((1, 2)), 2)
+        fl_growth_check((1, 2), 2)
     with pytest.raises(ValueError, match="gcd"):
-        fl_growth_check(IntSet((0, 2, 4)), 2)
+        fl_growth_check((0, 2, 4), 2)
+
+
+def test_fl_growth_normalization_errors():
+    # members are sorted and deduplicated; each violated condition is named
+    r = fl_growth_check([3, 1, 0, 1], 1)
+    assert r.members == (0, 1, 3) and r.span == 3
+    for members, message in (((), "the set must be nonempty"),
+                             ((1, -2, 0), "members must be nonnegative, got -2"),
+                             ((0,), "at least two members required")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fl_growth_check(members, 2)
 
 
 def test_int_sumset_sizes_matches_direct_enumeration():

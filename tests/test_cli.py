@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 from click.testing import CliRunner
+from hypothesis import example, given, settings, strategies as st
 
 import znbases
 from znbases.cli import main
@@ -111,6 +112,29 @@ def test_bad_integer_set_token_is_named_with_its_literal():
     assert res.exit_code == 2
     assert res.stdout == ""
     assert "duplicate member 1 in set literal" in res.stderr
+
+
+def test_empty_integer_set_literal_exits_2():
+    for text in ("", "  "):
+        res = run("fl-check", "--set", text, "--h-max", "3")
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert "empty integer set literal" in res.stderr
+
+
+def test_negative_integer_set_member_is_named():
+    res = run("fl-check", "--set", "-1,0,1", "--h-max", "2")
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert "members must be nonnegative, got -1" in res.stderr
+    assert "IntSet" not in res.stderr
+
+
+def test_family_range_without_a_family_modulus_exits_2():
+    # no n = -1 (mod k) above k lies in these ranges: refused, not an empty table
+    for k, text in (("5", "1000..1003"), ("3", "1..3"), ("3", "1..2")):
+        for fmt in ("table", "json", "csv"):
+            res = run("family", "--k", k, "--n-range", text, "--format", fmt)
+            assert (res.exit_code, res.stdout) == (2, ""), (k, text, fmt)
+            assert f"no modulus n = -1 mod {k} above {k} in range {text!r}" in res.stderr
 
 
 def test_nonpositive_modulus_is_named_before_the_residues():
@@ -301,3 +325,56 @@ def test_family_table_through_a_real_pipe():
     assert proc.wait(timeout=120) == 1
     assert err == b""
     assert first == full.stdout.split(b"\n", 1)[0] + b"\n"
+
+
+SMALL = st.integers(-3, 3).map(str)
+SETS = st.one_of(
+    st.lists(st.integers(-3, 3), max_size=4).map(lambda ms: ",".join(map(str, ms))),
+    st.sampled_from(["", " ", ",", "0,,1", "0;1", "0,1,", "x"]),
+)
+RANGES = st.builds("{}..{}".format, st.integers(-3, 3), st.integers(-3, 3))
+SIGMAS = st.sampled_from(["1", "0", "-1", "1/2", "1/0", "x", "2.04"])
+# command -> (required options, optional options, flags)
+COMMANDS = {
+    "order": ({"--n": SMALL, "--set": SETS}, {}, ["--trajectory"]),
+    "canon": ({"--n": SMALL, "--set": SETS}, {}, []),
+    "spectrum": ({"--n": SMALL},
+                 {"--max-card": SMALL, "--limit": SMALL, "--shards": SMALL}, ["--exhaustive"]),
+    "conjecture": ({"--k": SMALL},
+                   {"--n": SMALL, "--n-range": RANGES, "--max-card": SMALL, "--limit": SMALL,
+                    "--shards": SMALL}, ["--no-kl-cap"]),
+    "kl-bound": ({"--n": SMALL, "--rho": SMALL}, {"--limit": SMALL}, ["--check"]),
+    "fl-check": ({"--set": SETS, "--h-max": SMALL}, {}, []),
+    "sandwich": ({"--n": SMALL, "--a": SMALL, "--b": SMALL}, {}, []),
+    "pigeonhole": ({"--n": SMALL, "--k": SMALL, "--t": SMALL}, {}, []),
+    "df-analyze": ({"--n": SMALL, "--set": SETS}, {"--sigma": SIGMAS}, ["--coprime-diff"]),
+    "pipeline": ({"--n": SMALL, "--set": SETS, "--k": SMALL}, {"--sigma": SIGMAS}, []),
+    "family": ({"--k": SMALL, "--n-range": RANGES}, {}, []),
+}
+VERIFY_COMMANDS = {"fl-check", "sandwich", "pigeonhole"}
+
+
+@st.composite
+def small_argv(draw):
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    required, optional, flags = COMMANDS[name]
+    options = draw(st.fixed_dictionaries(required, optional=optional))
+    argv = [name, *(f"{opt}={value}" for opt, value in options.items())]
+    argv += draw(st.lists(st.sampled_from(flags), unique=True)) if flags else []
+    return argv + draw(st.sampled_from([[], ["--format=json"], ["--format=csv"]]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_argv())
+@example(["family", "--k=3", "--n-range=1..3"])
+@example(["fl-check", "--set=-1,0,1", "--h-max=2"])
+def test_small_and_edge_arguments_exit_cleanly(argv):
+    # no traceback; a refusal prints nothing; a result is never empty
+    res = CliRunner().invoke(main, argv)
+    assert res.exception is None or isinstance(res.exception, SystemExit), res.exc_info
+    assert "Traceback" not in res.stderr
+    if res.exit_code == 2:
+        assert res.stdout == "", argv
+    else:
+        assert res.exit_code == 0 or (res.exit_code == 1 and argv[0] in VERIFY_COMMANDS), argv
+        assert res.stdout.strip(), argv

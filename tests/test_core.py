@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 
 from znbases import divisors, is_basis, nlr, order
 from znbases.core import (
-    IntSet,
     ZnSet,
+    _literal_members,
     canonical_sort_key,
     encode,
     format_fraction,
@@ -68,7 +68,7 @@ def test_znset_parse_rejects_bad_literals():
 
 def test_set_literal_token_rules_are_shared():
     for noun, parse in (("residue", lambda t: ZnSet.from_text(10, t).members),
-                        ("member", lambda t: IntSet.from_text(t).members)):
+                        ("member", lambda t: tuple(_literal_members(t.strip(), "member")))):
         assert parse(" 0; 1 ,3") == (0, 1, 3)
         for text, token in (("0,x", "x"), ("0,1,3,", ""), (",,", ""), ("0, 2.5,3", "2.5")):
             with pytest.raises(ValueError) as err:
@@ -118,14 +118,6 @@ def test_mask_less_prefers_low_members():
     assert mask_less(a, c)
     assert not mask_less(b, a)
     assert not mask_less(a, a)
-
-
-def test_intset_normalization_errors():
-    assert IntSet((0, 1, 3)).normalization_error() is None
-    assert IntSet((1, 3)).normalization_error() is not None
-    assert IntSet((0, 2, 4)).normalization_error() is not None
-    assert IntSet((0,)).normalization_error() is not None
-    assert IntSet.from_text("0,1,3").span == 3
 
 
 def test_order_and_fraction_tokens_round_trip():

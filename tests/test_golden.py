@@ -26,8 +26,10 @@ fix, since the earlier output used the single-modulus layout: ``conjecture
 range rendered as a sweep.  Captured before the exhaustive walk went in
 canonical order and marked each orbit's images with one packed sum, the
 largest exhaustive runs: ``spectrum --n 20 --exhaustive`` (the default
-limit) and ``kl-bound --n 18 --rho 4 --check --format json``.  A
-legitimate output change must be made in golden.json in the same change,
+limit) and ``kl-bound --n 18 --rho 4 --check --format json``.
+Re-captured after a fix: ``family --k 3 --n-range 1..2`` in all three
+formats, a range with no family modulus, now refused with exit 2 and
+empty stdout instead of an empty table.  A legitimate output change must be made in golden.json in the same change,
 run by run.
 """
 

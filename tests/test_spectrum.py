@@ -210,7 +210,7 @@ def test_conjecture_spec_examples():
 
 def test_conjecture_capped_equals_exhaustive_when_cap_is_full():
     for n in range(2, 19):
-        for k in (2, 3, 4):
+        for k in range(2, 9):
             ex = verify_conjecture(n, k)
             for kl in (True, False):
                 cp = verify_conjecture(n, k, max_card=n, use_kl_cap=kl)
