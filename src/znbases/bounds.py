@@ -239,8 +239,8 @@ class RepDecomposition:
     """Representation t = (d*n + e)/c with e the numerically least residue of
     c*t; applicable only when |e| <= c*k.
 
-    When gcd(d, c) > 1 the pair is reduced only if the reduction keeps e
-    integral; otherwise the values are reported as-is with reducible = True.
+    d, c and e are divided by g = gcd(d, c), which divides c*t - d*n = e, so
+    d and c come out coprime and reducible is always false.
     """
 
     n: int
@@ -263,14 +263,8 @@ def rep_decompose(n: int, k: int, t: int, c: int) -> RepDecomposition:
         )
     d = (c * t - e) // n
     g = math.gcd(d, c)
-    reducible = False
-    if g > 1:
-        if e % g == 0:
-            d, c, e = d // g, c // g, e // g
-        else:
-            reducible = True
     return RepDecomposition(
-        n=n, k=k, t=t, c=c, d=d, e=e, applicable=True, reducible=reducible
+        n=n, k=k, t=t, c=c // g, d=d // g, e=e // g, applicable=True, reducible=False
     )
 
 

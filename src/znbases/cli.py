@@ -98,54 +98,50 @@ def _check_shards(shards: int) -> None:
     # the work always runs as one partition: a split inside one process
     # would only reorder it
     if shards < 1:
-        raise click.UsageError(f"shards must be >= 1, got {shards}")
+        raise ValueError(f"shards must be >= 1, got {shards}")
 
 
 def _parse_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
     if not sep:
-        raise click.UsageError(f"range must look like A..B, got {text!r}")
+        raise ValueError(f"range must look like A..B, got {text!r}")
     try:
         a, b = int(lo), int(hi)
     except ValueError as exc:
-        raise click.UsageError(f"range bounds must be integers: {exc}") from exc
+        raise ValueError(f"range bounds must be integers: {exc}") from exc
     if a > b:
-        raise click.UsageError(f"empty range {text!r}")
+        raise ValueError(f"empty range {text!r}")
     return a, b
-
-
-def _parse_set(n: int, text: str) -> ZnSet:
-    try:
-        a = ZnSet.from_text(n, text)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
-    if not a:
-        raise click.UsageError("the set must be nonempty")
-    return a
 
 
 def _parse_sigma(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise click.UsageError(f"sigma must be an exact rational: {exc}") from exc
+        raise ValueError(f"sigma must be an exact rational: {exc}") from exc
 
 
-class _Cli(click.Group):
+class _Command(click.Command):
+    """Refuses a ValueError, from the library or the checks above, as a usage
+    error in the subcommand's context, so stderr shows its Usage: line too."""
+
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except ValueError as exc:
-            raise click.UsageError(str(exc)) from exc
+            raise click.UsageError(str(exc), ctx) from exc
 
 
-@click.group(cls=_Cli)
+@click.group()
 @click.version_option(
     __version__, message=f"znbases {__version__} (schema {SCHEMA_VERSION})"
 )
 def main() -> None:
     """Orders of additive bases of finite cyclic groups: exact computation,
     spectra, structure analysis, and bound verification."""
+
+
+main.command_class = _Command
 
 
 @main.command("order")
@@ -156,7 +152,7 @@ def main() -> None:
 @FORMAT_OPTION
 def order_cmd(n: int, set_text: str, with_trajectory: bool, fmt: str) -> None:
     """Order of a subset of Z_n: least h with hA = Z_n, or inf."""
-    a = _parse_set(n, set_text)
+    a = ZnSet.from_text(n, set_text)
     if not with_trajectory:
         rho = order(a)
         _emit(fmt,
@@ -188,7 +184,7 @@ def order_cmd(n: int, set_text: str, with_trajectory: bool, fmt: str) -> None:
 @FORMAT_OPTION
 def canon_cmd(n: int, set_text: str, fmt: str) -> None:
     """Canonical affine-orbit representative and orbit size."""
-    a = _parse_set(n, set_text)
+    a = ZnSet.from_text(n, set_text)
     canon = canonical_form(a)
     size = _orbit_size(a)
     _emit(fmt,
@@ -211,7 +207,7 @@ def canon_cmd(n: int, set_text: str, fmt: str) -> None:
 def spectrum_cmd(n, exhaustive, max_card, limit, shards, fmt) -> None:
     """Achieved orders of bases of Z_n, with gap runs and witnesses."""
     if exhaustive and max_card is not None:
-        raise click.UsageError("--exhaustive and --max-card are mutually exclusive")
+        raise ValueError("--exhaustive and --max-card are mutually exclusive")
     _check_shards(shards)
     report = spectrum(n, max_card=max_card, limit=limit)
 
@@ -247,7 +243,7 @@ def spectrum_cmd(n, exhaustive, max_card, limit, shards, fmt) -> None:
 def conjecture_cmd(k, n, n_range, max_card, limit, shards, no_kl_cap, fmt) -> None:
     """Largest gap to the nearest n/l over bases of order > n/k."""
     if (n is None) == (n_range is None):
-        raise click.UsageError("exactly one of --n and --n-range is required")
+        raise ValueError("exactly one of --n and --n-range is required")
     if n is not None:
         moduli = [n]
     else:
@@ -313,7 +309,7 @@ def kl_bound_cmd(n: int, rho: int, check: bool, limit: int, fmt: str) -> None:
     """
     report = kl_bound(n, rho)
     if check and n > limit:
-        raise click.UsageError(
+        raise ValueError(
             f"--check enumerates every basis orbit, so it needs n <= --limit "
             f"({limit}); got n = {n}"
         )
@@ -355,7 +351,7 @@ def fl_check_cmd(set_text: str, h_max: int, fmt: str) -> None:
     """
     text = set_text.strip()
     if not text:
-        raise click.UsageError("empty integer set literal")
+        raise ValueError("empty integer set literal")
     report = fl_growth_check(_literal_members(text, "member"), h_max)
 
     def lines():
@@ -440,7 +436,7 @@ def pigeonhole_cmd(n: int, k: int, t: int, fmt: str) -> None:
 @FORMAT_OPTION
 def df_analyze_cmd(n: int, set_text: str, sigma: str, coprime_diff: bool, fmt: str) -> None:
     """Small-doubling coset structure scan over every proper subgroup."""
-    a = _parse_set(n, set_text)
+    a = ZnSet.from_text(n, set_text)
     an = df_analyze(a, sigma=_parse_sigma(sigma), coprime_only=coprime_diff)
 
     def lines():
@@ -476,7 +472,7 @@ def df_analyze_cmd(n: int, set_text: str, sigma: str, coprime_diff: bool, fmt: s
 @FORMAT_OPTION
 def pipeline_cmd(n: int, set_text: str, k: int, sigma: str, fmt: str) -> None:
     """End-to-end structure-argument trace with exact slack values."""
-    a = _parse_set(n, set_text)
+    a = ZnSet.from_text(n, set_text)
     d = pipeline_trace(a, k, sigma=_parse_sigma(sigma)).to_dict()
     _emit(fmt,
           lambda: d,
@@ -493,7 +489,7 @@ def family_cmd(k: int, n_range: str, fmt: str) -> None:
     lo, hi = _parse_range(n_range)
     records = lower_bound_family(k, (lo, hi))
     if not records:
-        raise click.UsageError(f"no modulus n = -1 mod {k} above {k} in range {n_range!r}")
+        raise ValueError(f"no modulus n = -1 mod {k} above {k} in range {n_range!r}")
 
     def lines():
         for r in records:

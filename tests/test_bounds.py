@@ -157,15 +157,17 @@ def test_rep_decompose_spec_examples():
 @settings(max_examples=300)
 @given(st.integers(2, 1000), st.integers(2, 9), st.data())
 def test_rep_decompose_reconstruction(n, k, data):
+    # the witness c, and any c in [1, 3k), where gcd(d, c) > 1 is common:
+    # the reduction by it always keeps e integral
     t = data.draw(st.integers(1, n - 1))
-    w = pigeonhole_witness(n, k, t)
-    r = rep_decompose(n, k, t, w.c)
-    if r.applicable:
-        assert (r.d * n + r.e) % r.c == 0
-        assert (r.d * n + r.e) // r.c == t
-        if not r.reducible:
+    for c in (pigeonhole_witness(n, k, t).c, data.draw(st.integers(1, 3 * k - 1))):
+        r = rep_decompose(n, k, t, c)
+        if r.applicable:
+            assert (r.d * n + r.e) % r.c == 0
+            assert (r.d * n + r.e) // r.c == t
+            assert not r.reducible
             assert math.gcd(r.d, r.c) == 1
-        assert 0 <= r.d <= r.c
+            assert 0 <= r.d <= r.c
 
 
 def test_family_spec_examples():

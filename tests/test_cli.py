@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
@@ -146,6 +147,29 @@ def test_nonpositive_modulus_is_named_before_the_residues():
         assert res.stdout == ""
         assert f"modulus must be positive, got {n}" in res.stderr
         assert "out of range" not in res.stderr
+
+
+@pytest.mark.parametrize("args, message", [
+    (("conjecture", "--k", "3", "--n-range", "60"), "range must look like A..B, got '60'"),
+    (("conjecture", "--k", "3", "--n-range", "1..x"), "range bounds must be integers"),
+    (("df-analyze", "--n", "7", "--set", "0,1", "--sigma", "x"),
+     "sigma must be an exact rational"),
+    (("df-analyze", "--n", "7", "--set", "0,1", "--sigma", "1/0"),
+     "sigma must be an exact rational"),
+    (("pipeline", "--n", "20", "--set", "0,1,5", "--k", "1"), "k must be >= 2, got 1"),
+    (("order", "--n", "5", "--set", ""), "order of an empty set"),
+    (("order", "--n", "5", "--set", "", "--trajectory"), "trajectory of an empty set"),
+    (("canon", "--n", "5", "--set", ""), "canonical form of an empty set"),
+    (("df-analyze", "--n", "5", "--set", ""), "structure analysis of an empty set"),
+    (("pipeline", "--n", "5", "--set", "", "--k", "3"), "pipeline trace of an empty set"),
+])
+def test_refusal_prints_usage_and_message(args, message):
+    # every refusal, the library's and the command's own, in one stderr shape
+    res = run(*args)
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert res.stderr.startswith(f"Usage: main {args[0]} [OPTIONS]\n")
+    assert f"Try 'main {args[0]} --help' for help." in res.stderr
+    assert f"Error: {message}" in res.stderr
 
 
 def test_spectrum_csv_matches_spec_example():
@@ -368,13 +392,17 @@ def small_argv(draw):
 @given(small_argv())
 @example(["family", "--k=3", "--n-range=1..3"])
 @example(["fl-check", "--set=-1,0,1", "--h-max=2"])
+@example(["kl-bound", "--n=10", "--rho=1"])
+@example(["pipeline", "--n=5", "--set=0,1", "--k=1"])
 def test_small_and_edge_arguments_exit_cleanly(argv):
-    # no traceback; a refusal prints nothing; a result is never empty
+    # no traceback; a refusal prints nothing on stdout and its usage and
+    # message on stderr; a result is never empty
     res = CliRunner().invoke(main, argv)
     assert res.exception is None or isinstance(res.exception, SystemExit), res.exc_info
     assert "Traceback" not in res.stderr
     if res.exit_code == 2:
         assert res.stdout == "", argv
+        assert "Usage:" in res.stderr and "Error:" in res.stderr, argv
     else:
         assert res.exit_code == 0 or (res.exit_code == 1 and argv[0] in VERIFY_COMMANDS), argv
         assert res.stdout.strip(), argv

@@ -64,6 +64,8 @@ def test_znset_parse_rejects_bad_literals():
         ZnSet.from_text(5, "1,1")
     with pytest.raises(ValueError):
         ZnSet.from_members(5, [-1])
+    with pytest.raises(ValueError, match=r"membership mask has bits outside \[0, modulus\)"):
+        ZnSet(5, 1 << 5)
 
 
 def test_set_literal_token_rules_are_shared():

@@ -1,7 +1,7 @@
 """Golden CLI gate: every run in golden.json must reproduce its exit code and
 stdout byte for byte.
 
-golden.json holds the argv, exit code and stdout of 230 runs.  Captured
+golden.json holds the argv, exit code and stdout of 236 runs.  Captured
 before the report codec and the CLI renderer were rewritten: ``--version``,
 every ``--help``, all 11 commands in table, json and csv, shard counts 1, 2,
 3 and 5, and a few usage errors (exit 2, empty stdout).  Captured before the
@@ -29,7 +29,12 @@ largest exhaustive runs: ``spectrum --n 20 --exhaustive`` (the default
 limit) and ``kl-bound --n 18 --rho 4 --check --format json``.
 Re-captured after a fix: ``family --k 3 --n-range 1..2`` in all three
 formats, a range with no family modulus, now refused with exit 2 and
-empty stdout instead of an empty table.  A legitimate output change must be made in golden.json in the same change,
+empty stdout instead of an empty table.  Captured before the CLI refused
+every bad argument through one handler, the only inputs that reach two
+output branches, in all three formats: ``df-analyze --n 1 --set 0`` (no
+proper subgroup, so ``best: none`` and an empty ``best_m``) and ``spectrum
+--n 5 --max-card 1`` (no basis, so one gap run over every order, [1,4]).
+A legitimate output change must be made in golden.json in the same change,
 run by run.
 """
 
