@@ -11,10 +11,9 @@ pigeonhole) finds a violated bound; 2 on usage errors.
 
 from __future__ import annotations
 
+import os
 import sys
 from fractions import Fraction
-
-import click
 
 from . import __version__
 from .affine import _orbit_size, canonical_form
@@ -39,15 +38,28 @@ from .structure import df_analyze, pipeline_trace
 from .sumsets import order, trajectory
 
 SCHEMA_VERSION = 1
+VERSION = f"znbases {__version__} (schema {SCHEMA_VERSION})"
 
-FORMAT_OPTION = click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["table", "json", "csv"]),
-    default="table",
-    show_default=True,
-    help="Output format.",
-)
+# Every command's options, as rows (flag, destination, type, required,
+# default, help); the type is int, str, bool for a flag, or a tuple of
+# choices.  The strict parser in main and the click commands built for
+# --help and refusals both read these rows, in this order.
+COMMANDS: dict = {}  # name -> (body, rows)
+N = ("--n", "n", int, True, None, None)
+K = ("--k", "k", int, True, None, None)
+MODULUS = ("--n", "n", int, True, None, "Modulus of Z_n.")
+SET = ("--set", "set_text", str, True, None, "Set literal.")
+LIMIT = ("--limit", "limit", int, False, DEFAULT_EXHAUSTIVE_LIMIT, None)
+SIGMA = ("--sigma", "sigma", str, False, "2.04", "Doubling threshold as an exact rational.")
+FORMAT = ("--format", "fmt", ("table", "json", "csv"), False, "table", "Output format.")
+
+
+def _command(name: str, *rows):
+    """Register a command body under name, with its option rows and --format."""
+    def register(body):
+        COMMANDS[name] = (body, (*rows, FORMAT))
+        return body
+    return register
 
 
 def _bool(v: bool) -> str:
@@ -76,7 +88,7 @@ def _emit(fmt: str, payload, sections, lines) -> None:
     (header, rows) pairs, and lines() the table lines.  Lines go to the
     buffered stdout one at a time, flushed once at the end, so a long table
     costs neither a write per line nor one string of the whole output; a
-    closed pipe still raises here, where click's main turns it into exit 1.
+    closed pipe still raises here, where main turns it into exit 1.
     """
     write = sys.stdout.write  # looked up per call: CliRunner swaps sys.stdout
     if fmt == "json":
@@ -108,7 +120,7 @@ def _parse_range(text: str) -> tuple[int, int]:
     try:
         a, b = int(lo), int(hi)
     except ValueError as exc:
-        raise ValueError(f"range bounds must be integers: {exc}") from exc
+        raise ValueError(f"range bounds must be integers, got {text!r}") from exc
     if a > b:
         raise ValueError(f"empty range {text!r}")
     return a, b
@@ -118,38 +130,112 @@ def _parse_sigma(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"sigma must be an exact rational: {exc}") from exc
+        raise ValueError(f"sigma must be an exact rational, got {text!r}") from exc
 
 
-class _Command(click.Command):
-    """Refuses a ValueError, from the library or the checks above, as a usage
-    error in the subcommand's context, so stderr shows its Usage: line too."""
+def _strict_parse(argv: list[str]):
+    """(command name, keyword arguments) when argv is a command followed only
+    by distinct options of it, flags bare and every value the next token, not
+    starting with '-' and converting as click converts it; else None."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    rows = {row[0]: row for row in COMMANDS[argv[0]][1]}
+    params = {dest: default for _, dest, _, _, default, _ in rows.values()}
+    seen = set()
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        if flag not in rows or flag in seen:
+            return None
+        seen.add(flag)
+        _, dest, kind, _, _, _ = rows[flag]
+        if kind is bool:
+            params[dest] = True
+            continue
+        value = next(tokens, "-")  # a missing value is left to click as well
+        if value.startswith("-") or isinstance(kind, tuple) and value not in kind:
+            return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        params[dest] = value
+    if any(row[3] and flag not in seen for flag, row in rows.items()):
+        return None
+    return argv[0], params
 
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except ValueError as exc:
-            raise click.UsageError(str(exc), ctx) from exc
+
+def _click_group(refusal: ValueError | None = None):
+    """The click group built from COMMANDS, for what the strict parser leaves
+    to click: --help, usage errors and refusals.  A ValueError from a body is
+    refused as a usage error in the command's context, so stderr shows its
+    Usage: line too; a refusal already met is raised again, not recomputed."""
+    import click
+
+    class Command(click.Command):
+        def invoke(self, ctx):
+            try:
+                if refusal is not None:
+                    raise refusal
+                return super().invoke(ctx)
+            except ValueError as exc:
+                raise click.UsageError(str(exc), ctx) from exc
+
+    def option(flag, dest, kind, required, default, text):
+        # only the settings a row needs: to click an explicit default counts
+        # as a given value, so a required option would never be missing, and
+        # an explicit is_flag=False lets an option go without its value
+        settings = {"is_flag": True} if kind is bool else {} if required else {"default": default}
+        if kind is not bool and kind is not str:
+            settings["type"] = click.Choice(kind) if isinstance(kind, tuple) else kind
+        return click.Option([flag, dest], required=required, show_default=True, help=text,
+                            **settings)
+
+    group = click.version_option(__version__, message=VERSION)(
+        click.Group("main", help=main.__doc__))
+    for name, (body, rows) in COMMANDS.items():
+        group.add_command(Command(name, callback=body, help=body.__doc__,
+                                  params=[option(*row) for row in rows]))
+    return group
 
 
-@click.group()
-@click.version_option(
-    __version__, message=f"znbases {__version__} (schema {SCHEMA_VERSION})"
-)
-def main() -> None:
+def main(args=None, prog_name=None, **extra):
     """Orders of additive bases of finite cyclic groups: exact computation,
     spectra, structure analysis, and bound verification."""
+    # A well-formed command runs here without importing click; anything else
+    # is parsed and reported by click, which ends the process.
+    argv = sys.argv[1:] if args is None else list(args)
+    parsed = _strict_parse(argv)
+    if parsed is None and argv != ["--version"]:
+        _click_group().main(argv, prog_name, **extra)
+    try:
+        if parsed is None:
+            sys.stdout.write(VERSION + "\n")
+            sys.stdout.flush()
+        else:
+            COMMANDS[parsed[0]][0](**parsed[1])
+    except ValueError as exc:
+        _click_group(exc).main(argv, prog_name, **extra)
+    except (EOFError, KeyboardInterrupt):
+        sys.stderr.write("\nAborted!\n")
+        sys.exit(1)
+    except BrokenPipeError:
+        # exit 1 with nothing on stderr, as click does: the interpreter's last
+        # flush of stdout goes to the null device, not to the closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(0)
 
 
-main.command_class = _Command
+# click.testing.CliRunner runs main.main and names the program after main.name
+main.main = main
+main.name = "main"
 
 
-@main.command("order")
-@click.option("--n", type=int, required=True, help="Modulus of Z_n.")
-@click.option("--set", "set_text", required=True, help='Set literal, e.g. "0,1,3".')
-@click.option("--trajectory", "with_trajectory", is_flag=True,
-              help="Show the whole growth trajectory, not just the order.")
-@FORMAT_OPTION
+@_command("order", MODULUS,
+          ("--set", "set_text", str, True, None, 'Set literal, e.g. "0,1,3".'),
+          ("--trajectory", "with_trajectory", bool, False, False,
+           "Show the whole growth trajectory, not just the order."))
 def order_cmd(n: int, set_text: str, with_trajectory: bool, fmt: str) -> None:
     """Order of a subset of Z_n: least h with hA = Z_n, or inf."""
     a = ZnSet.from_text(n, set_text)
@@ -178,10 +264,7 @@ def order_cmd(n: int, set_text: str, with_trajectory: bool, fmt: str) -> None:
           lines)
 
 
-@main.command("canon")
-@click.option("--n", type=int, required=True, help="Modulus of Z_n.")
-@click.option("--set", "set_text", required=True, help="Set literal.")
-@FORMAT_OPTION
+@_command("canon", MODULUS, SET)
 def canon_cmd(n: int, set_text: str, fmt: str) -> None:
     """Canonical affine-orbit representative and orbit size."""
     a = ZnSet.from_text(n, set_text)
@@ -193,17 +276,16 @@ def canon_cmd(n: int, set_text: str, fmt: str) -> None:
           lambda: [f"canonical: {{{canon.to_text()}}}", f"orbit size: {size}"])
 
 
-@main.command("spectrum")
-@click.option("--n", type=int, required=True, help="Modulus of Z_n.")
-@click.option("--exhaustive", is_flag=True, help="Scan every basis orbit (default).")
-@click.option("--max-card", type=int, default=None,
-              help=f"Cap orbit cardinality instead of scanning exhaustively "
-                   f"(e.g. {DEFAULT_CARD_CAP}).")
-@click.option("--limit", type=int, default=DEFAULT_EXHAUSTIVE_LIMIT, show_default=True,
-              help="Largest n allowed in exhaustive mode.")
-@click.option("--shards", type=int, default=1, show_default=True,
-              help="Number of work partitions (result is shard-count independent).")
-@FORMAT_OPTION
+@_command("spectrum", MODULUS,
+          ("--exhaustive", "exhaustive", bool, False, False,
+           "Scan every basis orbit (default)."),
+          ("--max-card", "max_card", int, False, None,
+           f"Cap orbit cardinality instead of scanning exhaustively "
+           f"(e.g. {DEFAULT_CARD_CAP})."),
+          ("--limit", "limit", int, False, DEFAULT_EXHAUSTIVE_LIMIT,
+           "Largest n allowed in exhaustive mode."),
+          ("--shards", "shards", int, False, 1,
+           "Number of work partitions (result is shard-count independent)."))
 def spectrum_cmd(n, exhaustive, max_card, limit, shards, fmt) -> None:
     """Achieved orders of bases of Z_n, with gap runs and witnesses."""
     if exhaustive and max_card is not None:
@@ -229,17 +311,15 @@ def spectrum_cmd(n, exhaustive, max_card, limit, shards, fmt) -> None:
           lines)
 
 
-@main.command("conjecture")
-@click.option("--k", type=int, required=True, help="Threshold parameter: orders > n/k.")
-@click.option("--n", type=int, default=None, help="Single modulus to check.")
-@click.option("--n-range", default=None, help="Range of moduli A..B to sweep.")
-@click.option("--max-card", type=int, default=None,
-              help="Cardinality cap (required above the exhaustive limit).")
-@click.option("--limit", type=int, default=DEFAULT_EXHAUSTIVE_LIMIT, show_default=True)
-@click.option("--shards", type=int, default=1, show_default=True)
-@click.option("--no-kl-cap", is_flag=True,
-              help="Do not tighten the cap with the order/cardinality bound.")
-@FORMAT_OPTION
+@_command("conjecture",
+          ("--k", "k", int, True, None, "Threshold parameter: orders > n/k."),
+          ("--n", "n", int, False, None, "Single modulus to check."),
+          ("--n-range", "n_range", str, False, None, "Range of moduli A..B to sweep."),
+          ("--max-card", "max_card", int, False, None,
+           "Cardinality cap (required above the exhaustive limit)."),
+          LIMIT, ("--shards", "shards", int, False, 1, None),
+          ("--no-kl-cap", "no_kl_cap", bool, False, False,
+           "Do not tighten the cap with the order/cardinality bound."))
 def conjecture_cmd(k, n, n_range, max_card, limit, shards, no_kl_cap, fmt) -> None:
     """Largest gap to the nearest n/l over bases of order > n/k."""
     if (n is None) == (n_range is None):
@@ -294,14 +374,12 @@ def conjecture_cmd(k, n, n_range, max_card, limit, shards, no_kl_cap, fmt) -> No
           ])
 
 
-@main.command("kl-bound")
-@click.option("--n", type=int, required=True)
-@click.option("--rho", type=int, required=True, help="Order threshold in [2, n-1].")
-@click.option("--check", is_flag=True,
-              help="Also enumerate basis orbits of order >= rho and verify "
-                   "every cardinality against the bound (n <= limit).")
-@click.option("--limit", type=int, default=DEFAULT_EXHAUSTIVE_LIMIT, show_default=True)
-@FORMAT_OPTION
+@_command("kl-bound", N,
+          ("--rho", "rho", int, True, None, "Order threshold in [2, n-1]."),
+          ("--check", "check", bool, False, False,
+           "Also enumerate basis orbits of order >= rho and verify "
+           "every cardinality against the bound (n <= limit)."),
+          LIMIT)
 def kl_bound_cmd(n: int, rho: int, check: bool, limit: int, fmt: str) -> None:
     """Cardinality bound for bases of Z_n of order at least rho.
 
@@ -339,11 +417,10 @@ def kl_bound_cmd(n: int, rho: int, check: bool, limit: int, fmt: str) -> None:
         sys.exit(1)
 
 
-@main.command("fl-check")
-@click.option("--set", "set_text", required=True,
-              help='Normalized integer set literal, e.g. "0,1,3".')
-@click.option("--h-max", type=int, required=True, help="Check h = 1..h_max.")
-@FORMAT_OPTION
+@_command("fl-check",
+          ("--set", "set_text", str, True, None,
+           'Normalized integer set literal, e.g. "0,1,3".'),
+          ("--h-max", "h_max", int, True, None, "Check h = 1..h_max."))
 def fl_check_cmd(set_text: str, h_max: int, fmt: str) -> None:
     """Integer-sumset growth check |hA| >= |A| + (h-1)*span.
 
@@ -371,11 +448,9 @@ def fl_check_cmd(set_text: str, h_max: int, fmt: str) -> None:
         sys.exit(1)
 
 
-@main.command("sandwich")
-@click.option("--n", type=int, required=True)
-@click.option("--a", type=int, required=True, help="Proper divisor of n, a >= 2.")
-@click.option("--b", type=int, required=True, help="Element coprime to a.")
-@FORMAT_OPTION
+@_command("sandwich", N,
+          ("--a", "a", int, True, None, "Proper divisor of n, a >= 2."),
+          ("--b", "b", int, True, None, "Element coprime to a."))
 def sandwich_cmd(n: int, a: int, b: int, fmt: str) -> None:
     """Two-sided order bound for the triple {0, a, b} with a | n.
 
@@ -391,11 +466,8 @@ def sandwich_cmd(n: int, a: int, b: int, fmt: str) -> None:
         sys.exit(1)
 
 
-@main.command("pigeonhole")
-@click.option("--n", type=int, required=True)
-@click.option("--k", type=int, required=True)
-@click.option("--t", type=int, required=True, help="Third element of {0, 1, t}.")
-@FORMAT_OPTION
+@_command("pigeonhole", N, K,
+          ("--t", "t", int, True, None, "Third element of {0, 1, t}."))
 def pigeonhole_cmd(n: int, k: int, t: int, fmt: str) -> None:
     """Pigeonhole witness for {0,1,t}: multiplier c, signed residue r = c*t,
     order bound s + c*n/s, and the representation t = (d*n + e)/c.
@@ -426,14 +498,9 @@ def pigeonhole_cmd(n: int, k: int, t: int, fmt: str) -> None:
         sys.exit(1)
 
 
-@main.command("df-analyze")
-@click.option("--n", type=int, required=True)
-@click.option("--set", "set_text", required=True, help="Set literal.")
-@click.option("--sigma", default="2.04", show_default=True,
-              help="Doubling threshold as an exact rational.")
-@click.option("--coprime-diff", is_flag=True,
-              help="Restrict covering progressions to differences coprime to q.")
-@FORMAT_OPTION
+@_command("df-analyze", N, SET, SIGMA,
+          ("--coprime-diff", "coprime_diff", bool, False, False,
+           "Restrict covering progressions to differences coprime to q."))
 def df_analyze_cmd(n: int, set_text: str, sigma: str, coprime_diff: bool, fmt: str) -> None:
     """Small-doubling coset structure scan over every proper subgroup."""
     a = ZnSet.from_text(n, set_text)
@@ -463,13 +530,7 @@ def df_analyze_cmd(n: int, set_text: str, sigma: str, coprime_diff: bool, fmt: s
           lines)
 
 
-@main.command("pipeline")
-@click.option("--n", type=int, required=True)
-@click.option("--set", "set_text", required=True, help="Set literal.")
-@click.option("--k", type=int, required=True)
-@click.option("--sigma", default="2.04", show_default=True,
-              help="Doubling threshold as an exact rational.")
-@FORMAT_OPTION
+@_command("pipeline", N, SET, K, SIGMA)
 def pipeline_cmd(n: int, set_text: str, k: int, sigma: str, fmt: str) -> None:
     """End-to-end structure-argument trace with exact slack values."""
     a = ZnSet.from_text(n, set_text)
@@ -480,10 +541,8 @@ def pipeline_cmd(n: int, set_text: str, k: int, sigma: str, fmt: str) -> None:
           lambda: [f"  {key}: {d[key]}" for key in sorted(d)])
 
 
-@main.command("family")
-@click.option("--k", type=int, required=True)
-@click.option("--n-range", required=True, help="Range of moduli A..B.")
-@FORMAT_OPTION
+@_command("family", K,
+          ("--n-range", "n_range", str, True, None, "Range of moduli A..B."))
 def family_cmd(k: int, n_range: str, fmt: str) -> None:
     """Measured orders of {0,1,k} for moduli n = -1 mod k in the range."""
     lo, hi = _parse_range(n_range)

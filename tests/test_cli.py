@@ -9,6 +9,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
 import znbases
+from znbases import cli
 from znbases.cli import main
 
 
@@ -41,6 +42,11 @@ def test_usage_errors_exit_2():
     assert run("kl-bound", "--n", "10", "--rho", "1").exit_code == 2
     assert run("spectrum", "--n", "40").exit_code == 2  # over the exhaustive limit
     assert run("conjecture", "--k", "2").exit_code == 2  # neither --n nor --n-range
+    for args, missing in ((("order", "--n", "5"), "--set"), (("family", "--k", "3"), "--n-range"),
+                          (("pigeonhole", "--k", "3", "--t", "2"), "--n")):
+        res = run(*args)
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert f"Missing option '{missing}'" in res.stderr
 
 
 def test_shard_count_below_one_exits_2():
@@ -151,11 +157,12 @@ def test_nonpositive_modulus_is_named_before_the_residues():
 
 @pytest.mark.parametrize("args, message", [
     (("conjecture", "--k", "3", "--n-range", "60"), "range must look like A..B, got '60'"),
-    (("conjecture", "--k", "3", "--n-range", "1..x"), "range bounds must be integers"),
+    (("conjecture", "--k", "3", "--n-range", "1..x"),
+     "range bounds must be integers, got '1..x'"),
     (("df-analyze", "--n", "7", "--set", "0,1", "--sigma", "x"),
-     "sigma must be an exact rational"),
+     "sigma must be an exact rational, got 'x'"),
     (("df-analyze", "--n", "7", "--set", "0,1", "--sigma", "1/0"),
-     "sigma must be an exact rational"),
+     "sigma must be an exact rational, got '1/0'"),
     (("pipeline", "--n", "20", "--set", "0,1,5", "--k", "1"), "k must be >= 2, got 1"),
     (("order", "--n", "5", "--set", ""), "order of an empty set"),
     (("order", "--n", "5", "--set", "", "--trajectory"), "trajectory of an empty set"),
@@ -169,7 +176,7 @@ def test_refusal_prints_usage_and_message(args, message):
     assert (res.exit_code, res.stdout) == (2, "")
     assert res.stderr.startswith(f"Usage: main {args[0]} [OPTIONS]\n")
     assert f"Try 'main {args[0]} --help' for help." in res.stderr
-    assert f"Error: {message}" in res.stderr
+    assert res.stderr.endswith(f"\nError: {message}\n")
 
 
 def test_spectrum_csv_matches_spec_example():
@@ -406,3 +413,66 @@ def test_small_and_edge_arguments_exit_cleanly(argv):
     else:
         assert res.exit_code == 0 or (res.exit_code == 1 and argv[0] in VERIFY_COMMANDS), argv
         assert res.stdout.strip(), argv
+
+
+FORMATS = st.sampled_from(["table", "json", "csv", "xml", "JSON"])
+CLICK = cli._click_group()
+
+
+@st.composite
+def loose_argv(draw):
+    # like small_argv, with values as separate tokens, plus what the strict
+    # parser must leave to click: --opt=value, repeats, a missing required
+    # option, a missing value, '--' and unknown flags
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    required, optional, flags = COMMANDS[name]
+    values = {**required, **optional, "--format": FORMATS}
+    options = draw(st.fixed_dictionaries(required, optional={**optional, "--format": FORMATS}))
+    if draw(st.integers(0, 3)) == 0:
+        del options[draw(st.sampled_from(sorted(required)))]
+    items = [[opt, value] for opt, value in options.items()]
+    items += [[flag] for flag in draw(st.lists(st.sampled_from(flags), unique=True))] \
+        if flags else []
+    any_opt = st.sampled_from(sorted(values))
+    items += draw(st.lists(st.one_of(
+        any_opt.flatmap(lambda opt: values[opt].map(lambda v: [opt, v])),
+        any_opt.flatmap(lambda opt: values[opt].map(lambda v: [f"{opt}={v}"])),
+        st.sampled_from([*flags, *values, "--", "--bogus", "-n", "--help"]).map(lambda t: [t]),
+    ), max_size=2))
+    return [name, *(token for item in draw(st.permutations(items)) for token in item)]
+
+
+@settings(max_examples=600, deadline=None)
+@given(loose_argv())
+@example(["spectrum", "--n", "7", "--exhaustive", "--shards", "3", "--format", "csv"])
+@example(["conjecture", "--no-kl-cap", "--k", "3", "--n-range", "1..x", "--limit", "12"])
+@example(["df-analyze", "--sigma", "1/0", "--set", "", "--n", "0"])
+@example(["spectrum", "--n", "7", "--shards", "-1"])
+@example(["spectrum", "--n=7"])
+@example(["order", "--n", "5", "--set", "0,1", "--n", "6"])
+@example(["order", "--n", "5", "--set"])
+@example(["order", "--n", "5", "--", "--set", "0,1"])
+def test_strict_parser_agrees_with_click(argv):
+    # whenever the strict parser takes argv, click parses it to the same
+    # keyword arguments, so the click path would have run the same call
+    parsed = cli._strict_parse(argv)
+    if parsed is not None:
+        assert parsed == (argv[0], CLICK.commands[argv[0]].make_context(argv[0], argv[1:]).params)
+
+
+@pytest.mark.parametrize("raised, code, stderr", [
+    (ValueError("no such spectrum"), 2, "\nError: no such spectrum\n"),
+    (KeyboardInterrupt(), 1, "\nAborted!\n"),
+])
+def test_strict_run_ends_as_click_ends_it(monkeypatch, raised, code, stderr):
+    # a refusal is reported in click's shape without running the body again
+    calls = []
+
+    def fail(*args, **kwargs):
+        calls.append(args)
+        raise raised
+
+    monkeypatch.setattr(cli, "spectrum", fail)
+    res = run("spectrum", "--n", "7")
+    assert (res.exit_code, res.stdout, len(calls)) == (code, "", 1)
+    assert res.stderr.endswith(stderr)

@@ -1,22 +1,32 @@
 """Checks on the library's source text: imports that slow every start-up,
-and imports that nothing uses."""
+and imports that nothing uses; and on the modules a real start-up loads."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "znbases"
+GOLDEN = {tuple(run["argv"]): run for run in json.loads(
+    (Path(__file__).parent / "golden.json").read_text(encoding="utf-8"))}
 
 
 def test_library_has_no_slow_start_up_imports():
     # every znbases process imports the whole package: dataclasses and
-    # typing.NamedTuple cost milliseconds at each start, and json is
-    # needed only where cli._emit writes JSON
+    # typing.NamedTuple cost milliseconds at each start, json is needed
+    # only where cli._emit writes JSON, and click only inside a function,
+    # for --help and refusals
     hits = []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        in_emit = {id(node)
-                   for func in ast.walk(tree) if path.name == "cli.py"
-                   and isinstance(func, ast.FunctionDef) and func.name == "_emit"
+        functions = [func for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)]
+        in_function = {id(node) for func in functions for node in ast.walk(func)}
+        in_emit = {id(node) for func in functions
+                   if path.name == "cli.py" and func.name == "_emit"
                    for node in ast.walk(func)}
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -36,7 +46,46 @@ def test_library_has_no_slow_start_up_imports():
                 hits.append(f"{path.name}:{node.lineno}: imports NamedTuple")
             if "json" in modules and id(node) not in in_emit:
                 hits.append(f"{path.name}:{node.lineno}: imports json outside cli._emit")
+            if "click" in modules and id(node) not in in_function:
+                hits.append(f"{path.name}:{node.lineno}: imports click at module level")
     assert hits == []
+
+
+# Runs one command as the console script does and names, on the last stderr
+# line, which of click and locale (imported by click's gettext) it loaded.
+PROBE = """
+import atexit, sys
+atexit.register(lambda: sys.stderr.write(
+    "\\nloaded:" + "".join(" " + m for m in ("click", "locale") if m in sys.modules)))
+from znbases.cli import main
+main(sys.argv[1:], prog_name="znbases")
+"""
+
+
+@pytest.mark.parametrize("argv, loads_click", [
+    (("--version",), False),
+    (("spectrum", "--n", "8", "--exhaustive"), False),
+    (("family", "--k", "3", "--n-range", "16..40", "--format", "csv"), False),
+    (("order", "--help"), True),
+    (("spectrum", "--n", "7", "--shards", "0"), True),
+])
+def test_well_formed_commands_start_without_click(argv, loads_click):
+    # click and locale cost about a third of every process start; only
+    # --help and refusals need them, and those still print click's bytes
+    env = {**os.environ, "COLUMNS": "80", "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))}
+    res = subprocess.run([sys.executable, "-c", PROBE, *argv], capture_output=True,
+                         text=True, env=env, timeout=60)
+    loaded = res.stderr.rsplit("loaded:", 1)[1].split()
+    if loads_click:
+        assert "click" in loaded
+    else:
+        assert loaded == []
+    if argv in GOLDEN:
+        assert (res.returncode, res.stdout) == (GOLDEN[argv]["exit_code"],
+                                                GOLDEN[argv]["stdout"])
+    else:
+        assert res.returncode == 0 and res.stdout
 
 
 def test_library_has_no_unused_imports():
