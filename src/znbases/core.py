@@ -43,6 +43,14 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+# Lane widths of integers packed with one value per lane, in bits, with their
+# memoryview formats: a lane of w bits holds a value below 2^w.  Packed
+# integers are built from strings of 0/1 flag bytes and read back lane by
+# lane through memoryview.cast, in place of a Python loop per lane.
+_LANE_FORMATS = ((8, "B"), (16, "H"), (32, "I"), (64, "Q"))
+_MEMBER_FLAGS = bytes.maketrans(b"01", b"\0\1")  # a binary string's digits as flag bytes
+
+
 def _literal_members(text: str, noun: str) -> Iterator[int]:
     """The integers of a stripped, nonempty set literal in order (format as in
     ZnSet.from_text): a token that is not an integer, the empty one too, is

@@ -18,7 +18,7 @@ from typing import Iterator
 from .affine import is_canonical, units
 from .bounds import KlBoundBreakdown, kl_bound, min_gap_to_fractions
 from .core import (
-    ZnSet, canonical_sort_key, divisors, is_basis, record,
+    _LANE_FORMATS, _MEMBER_FLAGS, ZnSet, canonical_sort_key, divisors, is_basis, record,
 )
 from .sumsets import _triple_order, order
 
@@ -80,13 +80,6 @@ class ConjectureReport:
     argmax_witness: ZnSet | None
 
 
-# Lane widths of the exhaustive walk's packed image indices, in bits, with
-# their memoryview formats.  An index has n - 1 bits, and no bytearray of
-# 2^(n-1) bytes exists for n - 1 > 62, so 64 bits always suffice.
-_LANE_FORMATS = ((8, "B"), (16, "H"), (32, "I"), (64, "Q"))
-_MEMBER_FLAGS = bytes.maketrans(b"01", b"\0\1")
-
-
 def _exhaustive_bases(n: int, state: bytearray) -> Iterator[ZnSet]:
     """Orderly generation of the canonical basis representatives.
 
@@ -107,6 +100,8 @@ def _exhaustive_bases(n: int, state: bytearray) -> Iterator[ZnSet]:
     """
     unit_list = units(n)
     phi = len(unit_list)
+    # an index has n - 1 bits, and no bytearray of 2^(n-1) bytes exists for
+    # n - 1 > 62, so 64-bit lanes always suffice
     bits, fmt = next(lane for lane in _LANE_FORMATS if lane[0] >= n - 1)
     count = n * phi  # lanes
     size = count * bits // 8

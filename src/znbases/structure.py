@@ -13,12 +13,13 @@ threshold 10^-9 is fixed.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 from operator import sub
 from typing import Iterable
 
-from .core import ZnSet, divisors, record
+from .core import _LANE_FORMATS, _MEMBER_FLAGS, ZnSet, divisors, record
 from .sumsets import add_sets, order
 
 DOUBLING_SIGMA = Fraction(204, 100)
@@ -28,6 +29,8 @@ CASE_GENERIC = "generic"          # met cosets != 1 and != 3
 CASE_THREE_COSETS = "three_cosets"
 CASE_SINGLE_COSET = "single_coset"
 BRANCH_UNAVAILABLE = "unavailable"
+
+_NONZERO_DIGITS = b"0" + b"1" * 255  # translate table: a zero byte to "0", any other to "1"
 
 
 def _reduce(members: Iterable[int], n: int, m: int) -> tuple[int, Fraction, ZnSet]:
@@ -59,6 +62,45 @@ def coset_profile(a: ZnSet, m: int) -> tuple[int, Fraction]:
     return _reduce(a, n, m)[:2]
 
 
+def _coset_stats(a: ZnSet) -> list[tuple[int, ZnSet, memoryview]]:
+    """(m, image in Z_q, count of members per class mod q) for every
+    proper-subgroup size m | n, m < n, in increasing order of m.  The
+    cosets met are the image's members, the coset sizes the counts.
+
+    The counts mod q = n/m are packed into one integer, a lane of w bits per
+    class (2^w > n, so no lane carries).  The counts mod q are the sum of the
+    p slices of the counts mod q*p, so each q is folded from q*p, p the least
+    prime factor of m, starting from the membership flags mod n.  The image
+    holds the nonzero lanes: OR-ing each lane's bytes into its low byte
+    leaves one byte per class to test.  (OR-ing the p slices of the image
+    mod q*p would shift a (q*p)-bit mask p times, quadratic in a large p.)
+    """
+    n = a.modulus
+    w, fmt = next(lane for lane in _LANE_FORMATS if 1 << lane[0] > n)
+    width, order = w // 8, sys.byteorder
+    spread = bytearray(n * width)  # little-endian: each lane's low byte first
+    spread[::width] = format(a.mask, f"0{n}b")[::-1].encode().translate(_MEMBER_FLAGS)
+    packed = int.from_bytes(spread, "little")
+    divs = divisors(n)
+    counts: dict[int, bytes] = {}  # m -> the packed counts in native byte order
+    stats = []
+    for m in divs[:-1]:
+        q = n // m
+        if m > 1:
+            p = next(d for d in divs if d > 1 and m % d == 0)
+            parent, size = counts[m // p], q * width
+            packed = sum(int.from_bytes(parent[i:i + size], order)
+                         for i in range(0, len(parent), size))
+        counts[m] = packed.to_bytes(q * width, order)
+        nonzero, shift = packed, 8
+        while shift < w:
+            nonzero |= nonzero >> shift
+            shift <<= 1
+        digits = nonzero.to_bytes(q * width, "little")[::width].translate(_NONZERO_DIGITS)
+        stats.append((m, ZnSet(q, int(digits[::-1], 2)), memoryview(counts[m]).cast(fmt)))
+    return stats
+
+
 def ap_cover(s: ZnSet, coprime_only: bool = False) -> tuple[int, int, int]:
     """Minimal arithmetic progression {start + i*d : 0 <= i < l} in Z_q covering S.
 
@@ -80,11 +122,12 @@ def ap_cover(s: ZnSet, coprime_only: bool = False) -> tuple[int, int, int]:
     q = s.modulus
     if q == 1:
         return (0, 1, 1)
-    anchor = next(iter(s))  # the least member
-    offsets = [x - anchor for x in s]
+    mask, full = s.mask, (1 << q) - 1
+    anchor = (mask & -mask).bit_length() - 1  # the least member
+    offsets = [x - anchor for x in s.members]
     card = len(offsets)
     spread = math.gcd(q, *offsets)  # g must divide it for the cycle to hold S
-    dense, mask, full = 32 * card >= q, s.mask, (1 << q) - 1
+    dense = 32 * card >= q
 
     def rot(x: int, k: int) -> int:  # bit c of the result is bit (c + k) % q of x
         k %= q
@@ -105,6 +148,8 @@ def ap_cover(s: ZnSet, coprime_only: bool = False) -> tuple[int, int, int]:
             runs = [(full // ((1 << g) - 1) << anchor % g) & ~mask]
             while runs[-1]:
                 runs.append(runs[-1] & rot(runs[-1], d << len(runs) - 1))
+            if best is not None and cycle - (1 << len(runs) - 1) + 1 >= best[0]:
+                continue  # runs[-1] is empty, so every run is shorter than 2^(len(runs) - 1)
             starts, longest = full, 0
             for j in range(len(runs) - 2, -1, -1):
                 longer = starts & rot(runs[j], longest * d)
@@ -178,9 +223,10 @@ class DfAnalysis:
 
 
 def _structure_report(
-    members: tuple[int, ...], n: int, m: int, excess: int, coprime_only: bool
+    stats: tuple[int, ZnSet, memoryview], excess: int, coprime_only: bool = False
 ) -> StructureReport:
-    s, frac, image = _reduce(members, n, m)
+    m, image, counts = stats
+    s = len(image)
     start, diff, length = ap_cover(image, coprime_only=coprime_only)
     if s == 1:
         case = CASE_SINGLE_COSET
@@ -193,7 +239,7 @@ def _structure_report(
         m=m,
         q=image.modulus,
         cosets_met=s,
-        max_coset_fraction=frac,
+        max_coset_fraction=Fraction(max(counts), m),
         ap_start=start,
         ap_diff=diff,
         ap_len=length,
@@ -205,6 +251,42 @@ def _structure_report(
 def _subgroup_cost(r: StructureReport) -> tuple[int, int]:
     """The order in which subgroups are chosen: least l*m, then least m."""
     return (r.ap_len * r.m, r.m)
+
+
+def _cost_bound(stats: tuple[int, ZnSet, memoryview]) -> tuple[int, int]:
+    """A lower bound on _subgroup_cost from the coset statistics alone:
+    l >= s, as a progression of length l covers at most l classes."""
+    m, image, _ = stats
+    return (len(image) * m, m)
+
+
+def _choose_subgroup(b: ZnSet, excess: int) -> tuple[StructureReport, ZnSet] | None:
+    """The report df_analyze(b).best names, or the report of least
+    _subgroup_cost when no inequality holds, with B's image in Z_q; None
+    when n = 1.  excess is |2B| - |B|.
+
+    Reports are built in increasing order of _cost_bound, and only while
+    they can still win: once a report holds, none whose bound reaches its
+    cost, and none that cannot hold.  A report can hold only if
+    (s - 1)*m <= excess, since the effective l (min(l, 4) when s = 3) is at
+    least s.  Costs never tie, as each divisor has its own m.
+    """
+    held = cheapest = None
+    held_cost = cheapest_cost = (math.inf,)
+    for stats in sorted(_coset_stats(b), key=_cost_bound):
+        bound = _cost_bound(stats)
+        if bound >= held_cost:
+            break
+        m, image, _ = stats
+        if (len(image) - 1) * m > excess and (held is not None or bound >= cheapest_cost):
+            continue
+        report = _structure_report(stats, excess)
+        cost = _subgroup_cost(report)
+        if report.inequality_holds and cost < held_cost:
+            held, held_cost = (report, image), cost
+        if cost < cheapest_cost:
+            cheapest, cheapest_cost = (report, image), cost
+    return held or cheapest
 
 
 def df_analyze(
@@ -221,12 +303,7 @@ def df_analyze(
     double = add_sets(a, a)
     size, dsize = len(a), len(double)
     excess = dsize - size
-    members = a.members
-    reports = tuple(
-        _structure_report(members, n, m, excess, coprime_only)
-        for m in divisors(n)
-        if m < n
-    )
+    reports = tuple(_structure_report(stats, excess, coprime_only) for stats in _coset_stats(a))
     best = min((r for r in reports if r.inequality_holds), key=_subgroup_cost, default=None)
     return DfAnalysis(
         input_set=a,
@@ -258,6 +335,21 @@ def _doublings(a: ZnSet, sigma: Fraction) -> tuple[int, ZnSet, list[int]]:
             return j, cur, sizes
         cur = nxt
     raise RuntimeError("no doubling step below sigma (0 in A and sigma > 1 always give one)")
+
+
+def _multiple_gap(n: int, h: int, rho: int) -> tuple[Fraction | None, int | None]:
+    """(min over multiples t of h in [h, n] of |rho - n/t|, the least t
+    attaining it), or (None, None) when h > n.
+
+    |rho - n/t| falls while t < n/rho and rises after, so the minimum sits at
+    one of the two multiples of h on either side of n/rho.
+    """
+    top = n // h
+    if top == 0:
+        return None, None
+    below = n // (rho * h)  # h*below <= n/rho < h*(below + 1)
+    candidates = {min(max(below, 1), top) * h, min(below + 1, top) * h}
+    return min((abs(rho - Fraction(n, t)), t) for t in candidates)  # ties: least t
 
 
 @record(with_modulus={"input_set": "set"})
@@ -326,13 +418,11 @@ def pipeline_trace(
         exceeds_n_over_k=rho is not None and rho * k > n, doubling_sizes=tuple(sizes),
         j=j, h=h, b=b,
     )
-    analysis = df_analyze(b, sigma=sigma)
-    chosen = analysis.best
-    if chosen is None:
-        chosen = min(analysis.reports, key=_subgroup_cost, default=None)
-    if chosen is None:
+    choice = _choose_subgroup(b, sizes[-1] - sizes[-2])
+    if choice is None:
         return trace  # n = 1 has no proper subgroup: the doubling data only
 
+    chosen, proj_b = choice
     m, q = chosen.m, chosen.q
     s = chosen.cosets_met
     proj_a = project(base, q)
@@ -341,7 +431,7 @@ def pipeline_trace(
     branch = CASE_THREE_COSETS if s == 3 else CASE_GENERIC
 
     rho_pa = order(proj_a)
-    rho_pb = order(project(b, q))
+    rho_pb = order(proj_b)
 
     subgroup_slack = Fraction(3, 2) * len(b) - m
     two_thirds = chosen.max_coset_fraction > Fraction(2, 3)
@@ -350,13 +440,7 @@ def pipeline_trace(
     proj_upper_slack = None if (rho is None or rho_pa is None) else rho_pa + m - rho
     h_scaling = None if (rho is None or rho_pb is None) else abs(rho - h * rho_pb)
 
-    multiple_gap = None
-    multiple_argmin = None
-    if rho_pb is not None:
-        for qp in range(h, n + 1, h):
-            gap = abs(rho_pb - Fraction(n, qp))
-            if multiple_gap is None or gap < multiple_gap:
-                multiple_gap, multiple_argmin = gap, qp
+    multiple_gap, multiple_argmin = (None, None) if rho_pb is None else _multiple_gap(n, h, rho_pb)
 
     ap_gap = None
     if rho_pb is not None and l >= 2:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 from znbases.core import ZnSet
@@ -210,6 +211,20 @@ def brute_ap_cover(q: int, members, coprime_only: bool = False) -> tuple[int, in
                 if s <= cells:
                     return (start, d, length)
     raise AssertionError("unreachable: length q, difference 1 covers everything")
+
+
+def naive_coset_stats(n: int, members) -> dict[int, tuple[int, int, Fraction, tuple[int, ...]]]:
+    """Per proper-subgroup size m | n, m < n: (q = n/m, cosets met, largest
+    occupied fraction of a coset, image mod q as a sorted tuple), from one
+    Counter of the members mod q per divisor."""
+    out = {}
+    for m in range(1, n):
+        if n % m:
+            continue
+        q = n // m
+        counts = Counter(x % q for x in members)
+        out[m] = (q, len(counts), Fraction(max(counts.values()), m), tuple(sorted(counts)))
+    return out
 
 
 def walk_ap_cover(q: int, members, coprime_only: bool = False) -> tuple[int, int, int]:

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from znbases import (
     ap_cover,
@@ -12,15 +12,20 @@ from znbases import (
     pipeline_trace,
     project,
 )
+from znbases import structure
 from znbases.core import ZnSet, divisors
 from znbases.structure import (
     CASE_GENERIC,
     CASE_SINGLE_COSET,
     CASE_THREE_COSETS,
+    _choose_subgroup,
+    _coset_stats,
+    _multiple_gap,
+    _subgroup_cost,
 )
 from znbases.sumsets import add_sets, order
 
-from oracles import brute_ap_cover, walk_ap_cover
+from oracles import brute_ap_cover, naive_coset_stats, walk_ap_cover
 
 
 def test_project_spec_examples():
@@ -241,6 +246,120 @@ def test_two_thirds_concentration_tally():
             concentrated += 1
     assert 0 <= concentrated <= tallied
     print(f"two-thirds concentration: {concentrated}/{tallied} inputs")
+
+
+@st.composite
+def stats_sets(draw):
+    """Sets mod n, n with many divisors or next to a lane-width switch (255
+    counts in 8-bit lanes, 256 and 257 in 16-bit ones): cosets of one
+    subgroup, so that some classes are full, plus random residues."""
+    n = draw(st.sampled_from((12, 60, 360, 2520, 255, 256, 257)))
+    step = draw(st.sampled_from(divisors(n)))
+    offsets = draw(st.sets(st.integers(0, step - 1), max_size=3))
+    strays = draw(st.sets(st.integers(0, n - 1), min_size=0 if offsets else 1, max_size=12))
+    return ZnSet.from_members(n, {o + j for o in offsets for j in range(0, n, step)} | strays)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stats_sets())
+@example(ZnSet(255, (1 << 255) - 1))
+@example(ZnSet.from_text(256, "255"))
+@example(ZnSet.from_members(257, range(0, 257, 2)))
+@example(ZnSet.from_members(2520, {*range(0, 512, 2), 1}))  # 256 in one class mod 2
+def test_coset_stats_match_a_counter_per_divisor(a):
+    n = a.modulus
+    naive = naive_coset_stats(n, a.members)
+    stats = _coset_stats(a)
+    assert [m for m, _, _ in stats] == sorted(naive)
+    for m, image, counts in stats:
+        q, met, frac, members = naive[m]
+        assert (image.modulus, len(image), image.members) == (q, met, members)
+        assert Fraction(max(counts), m) == frac and len(counts) == q
+    if n <= 360:  # df_analyze covers every image; 2520 is left to the fold alone
+        reports = df_analyze(a).reports
+        assert [(r.m, r.q, r.cosets_met, r.max_coset_fraction) for r in reports] == [
+            (m, *naive[m][:3]) for m in sorted(naive)]
+
+
+def _choice_from_df_analyze(b):
+    an = df_analyze(b)
+    return an.best or min(an.reports, key=_subgroup_cost, default=None)
+
+
+# 0,3,6,15,19,21 mod 24 doubles once to a B that no report of df_analyze holds
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((12, 24, 36, 60, 90, 120)).flatmap(
+    lambda n: st.sets(st.integers(0, n - 1), min_size=1, max_size=8).map(
+        lambda xs: ZnSet.from_members(n, xs))))
+@example(ZnSet.from_text(24, "0,3,6,15,19,21"))
+@example(ZnSet.from_text(1, "0"))
+def test_pipeline_chooses_the_subgroup_df_analyze_names(a):
+    t = pipeline_trace(a, 3)
+    chosen = _choice_from_df_analyze(t.b)
+    if chosen is None:
+        assert a.modulus == 1 and t.m is None
+        return
+    branch = CASE_THREE_COSETS if chosen.cosets_met == 3 else CASE_GENERIC
+    assert (t.m, t.q, t.s, t.ap_len, t.branch) == (
+        chosen.m, chosen.q, chosen.cosets_met, chosen.ap_len, branch)
+    assert t.two_thirds_holds == (chosen.max_coset_fraction > Fraction(2, 3))
+    assert t.rho_q_proj_b == order(project(t.b, t.q))
+
+
+def test_pipeline_falls_back_to_the_cheapest_report():
+    t = pipeline_trace(ZnSet.from_text(24, "0,3,6,15,19,21"), 3)
+    an = df_analyze(t.b)
+    cheapest = min(an.reports, key=_subgroup_cost)
+    assert an.best is None
+    assert (t.m, t.ap_len) == (cheapest.m, cheapest.ap_len) == (4, 5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((12, 20, 30, 48, 60, 84)).flatmap(
+    lambda n: st.sets(st.integers(0, n - 1), min_size=1, max_size=n).map(
+        lambda xs: ZnSet.from_members(n, xs))))
+def test_choice_by_the_bound_matches_every_report(a):
+    # on any set, doubled or not: many of these hold no report at all
+    report, image = _choose_subgroup(a, len(add_sets(a, a)) - len(a))
+    assert report == _choice_from_df_analyze(a)
+    assert image == project(a, report.q)
+
+
+@pytest.mark.parametrize("n, text, choice, covered_moduli", [
+    # m = 1 costs 4*1, and every other divisor's bound s*m = 3m reaches
+    # that: one cover of the 47 divisors is built
+    (2520, "0,1,3", (1, 4), [2520]),
+    # B = 2B: m = 1 cannot hold (s = 2, excess 0) but is built as the
+    # fallback; m = 2 holds at cost 1*2, which every bound after it reaches
+    (60, "0,30", (2, 1), [60, 30]),
+    # no report holds: m = 4 is the cheapest at 5*4, and the bounds of
+    # m = 3, 6, 8 and 12 reach 24
+    (24, "0,3,6,15,19,21", (4, 5), [24, 12, 6]),
+])
+def test_pipeline_builds_only_the_reports_that_can_win(monkeypatch, n, text, choice, covered_moduli):
+    covered = []
+    cover = structure.ap_cover
+
+    def counted_cover(s, coprime_only=False):
+        covered.append(s.modulus)
+        return cover(s, coprime_only)
+
+    monkeypatch.setattr(structure, "ap_cover", counted_cover)
+    monkeypatch.setattr(structure, "df_analyze", None)  # the trace builds no full scan
+    t = pipeline_trace(ZnSet.from_text(n, text), 3)
+    assert ((t.m, t.ap_len), covered) == (choice, covered_moduli)
+
+
+def test_multiple_gap_matches_the_loop_over_multiples():
+    for n in range(1, 31):
+        for h in range(1, 36):
+            for rho in range(1, n + 2):
+                expected = (None, None)
+                for t in range(h, n + 1, h):  # ascending: ties go to the least t
+                    gap = abs(rho - Fraction(n, t))
+                    if expected[0] is None or gap < expected[0]:
+                        expected = (gap, t)
+                assert _multiple_gap(n, h, rho) == expected, (n, h, rho)
 
 
 def test_structure_scan_empty_for_trivial_group():
