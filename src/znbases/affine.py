@@ -96,14 +96,13 @@ def is_canonical(a: ZnSet) -> bool:
     return not any(mask_less(image, mask) for image in _anchored_images(members, n, g))
 
 
-def _orbit_size(a: ZnSet) -> int:
-    """The number of distinct images u*A + v, as n*phi(n) / |Stab(A)|.  The
-    maps sending A to its canonical form C, one coset of the stabilizer, each
-    send a pair with gcd g to (0, g), C's first two members: they are the
-    anchored images equal to C, each met once."""
+def _orbit_size(a: ZnSet, canon: ZnSet) -> int:
+    """The number of distinct images u*A + v, given C = canonical_form(A), as
+    n*phi(n) / |Stab(A)|.  The maps sending A to C, one coset of the
+    stabilizer, each send a pair with gcd g to (0, g), C's first two members:
+    they are the anchored images equal to C, each met once."""
     n = a.modulus
     if len(a) == 1:
         return n
-    canon = canonical_form(a)
     images = _anchored_images(a.members, n, canon.members[1])
     return n * len(units(n)) // sum(image == canon.mask for image in images)

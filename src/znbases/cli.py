@@ -269,7 +269,7 @@ def canon_cmd(n: int, set_text: str, fmt: str) -> None:
     """Canonical affine-orbit representative and orbit size."""
     a = ZnSet.from_text(n, set_text)
     canon = canonical_form(a)
-    size = _orbit_size(a)
+    size = _orbit_size(a, canon)
     _emit(fmt,
           lambda: {"n": n, "set": a, "canonical": canon, "orbit_size": size},
           lambda: [("n,set,canonical,orbit_size", [(n, a, canon, size)])],

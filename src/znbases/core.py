@@ -121,7 +121,6 @@ class ZnSet:
         Rejects out-of-range and duplicate entries.  Semicolons are accepted
         as separators too (the CSV-embedded variant of the same literal).
         """
-        _check_positive(modulus)
         text = text.strip()
         if not text:
             return cls(modulus, 0)

@@ -124,8 +124,8 @@ def _exhaustive_bases(n: int, state: bytearray) -> Iterator[ZnSet]:
     spec = f"0{n - 1}b"
     while (index := state.rfind(0, 0, index)) >= 0:
         residues = format(index, spec)  # residues[x - 1] == "1": x in A
-        mask = int(residues[::-1] + "1", 2)
-        if not is_basis(ZnSet(n, mask)):
+        rep = ZnSet(n, int(residues[::-1] + "1", 2))
+        if not is_basis(rep):
             continue
         flags = ("1" + residues).encode().translate(_MEMBER_FLAGS)  # flags[x]: x in A
         images = memoryview(
@@ -134,7 +134,7 @@ def _exhaustive_bases(n: int, state: bytearray) -> Iterator[ZnSet]:
         # flags * phi selects lane j*n + a exactly when a is a member
         for image in itertools.compress(images, flags * phi):
             state[image] = 1
-        yield ZnSet(n, mask)
+        yield rep
 
 
 def enumerate_bases(

@@ -17,7 +17,6 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from operator import sub
-from typing import Iterable
 
 from .core import _LANE_FORMATS, _MEMBER_FLAGS, ZnSet, divisors, record
 from .sumsets import add_sets, order
@@ -33,15 +32,6 @@ BRANCH_UNAVAILABLE = "unavailable"
 _NONZERO_DIGITS = b"0" + b"1" * 255  # translate table: a zero byte to "0", any other to "1"
 
 
-def _reduce(members: Iterable[int], n: int, m: int) -> tuple[int, Fraction, ZnSet]:
-    """Reduce the members mod q = n/m once: (cosets of the size-m subgroup
-    met, largest occupied fraction, image in Z_q)."""
-    q = n // m
-    counts = Counter(x % q for x in members)
-    frac = Fraction(max(counts.values(), default=0), m)
-    return len(counts), frac, ZnSet.from_members(q, counts)
-
-
 def project(a: ZnSet, q: int) -> ZnSet:
     """Image of A under the projection Z_n -> Z_q, q | n (reduction mod q)."""
     n = a.modulus
@@ -49,7 +39,7 @@ def project(a: ZnSet, q: int) -> ZnSet:
         raise ValueError(f"q must divide the modulus {n}, got {q}")
     if q == n:
         return a
-    return _reduce(a, n, n // q)[2]
+    return ZnSet.from_members(q, {x % q for x in a})
 
 
 def coset_profile(a: ZnSet, m: int) -> tuple[int, Fraction]:
@@ -59,7 +49,8 @@ def coset_profile(a: ZnSet, m: int) -> tuple[int, Fraction]:
         raise ValueError(f"m must divide the modulus {n}, got {m}")
     if not a:
         raise ValueError("coset profile of an empty set")
-    return _reduce(a, n, m)[:2]
+    counts = Counter(x % (n // m) for x in a)
+    return len(counts), Fraction(max(counts.values()), m)
 
 
 def _coset_stats(a: ZnSet) -> list[tuple[int, ZnSet, memoryview]]:

@@ -1,6 +1,7 @@
 import math
 import random
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from znbases import canonical_form, is_canonical, order
@@ -18,6 +19,10 @@ from oracles import (
 
 def test_canonical_form_spec_examples():
     assert canonical_form(ZnSet.from_text(7, "5,6")) == ZnSet.from_text(7, "0,1")
+    with pytest.raises(ValueError, match="canonical form of an empty set"):
+        canonical_form(ZnSet(7, 0))
+    with pytest.raises(ValueError, match="canonicality of an empty set"):
+        is_canonical(ZnSet(7, 0))
     assert canonical_form(ZnSet.from_text(7, "0,1")) == ZnSet.from_text(7, "0,1")
     assert canonical_form(ZnSet(6, (1 << 6) - 1)) == ZnSet(6, (1 << 6) - 1)
 
@@ -121,14 +126,15 @@ def test_orbit_size_counts_the_orbit_without_building_it():
     for n in range(1, 11):
         for mask in range(1, 1 << n):
             a = ZnSet(n, mask)
-            assert _orbit_size(a) == len(naive_orbit(n, a.members)), a
+            assert _orbit_size(a, canonical_form(a)) == len(naive_orbit(n, a.members)), a
     rng = random.Random(60)
     for _ in range(300):
         n = rng.randint(1, 60)
         a = ZnSet.from_members(n, rng.sample(range(n), rng.randint(1, n)))
-        assert _orbit_size(a) == len(naive_orbit(n, a.members)), a
+        assert _orbit_size(a, canonical_form(a)) == len(naive_orbit(n, a.members)), a
     # the orbit of {0, 1, 3} in Z_2000 has 2000*800 members, none of them built
-    assert _orbit_size(ZnSet.from_text(2000, "0,1,3")) == 1_600_000
+    a = ZnSet.from_text(2000, "0,1,3")
+    assert _orbit_size(a, canonical_form(a)) == 1_600_000
 
 
 @settings(max_examples=60, deadline=None)
@@ -138,4 +144,5 @@ def test_orbit_size_counts_the_orbit_without_building_it():
 @example((60, (0, 10, 20, 30, 40, 50)))  # a coset of 10Z_60: a large stabilizer
 def test_orbit_size_agrees_with_the_orbit_up_to_n_60(case):
     n, members = case
-    assert _orbit_size(ZnSet.from_members(n, members)) == len(naive_orbit(n, members))
+    a = ZnSet.from_members(n, members)
+    assert _orbit_size(a, canonical_form(a)) == len(naive_orbit(n, members))

@@ -152,6 +152,8 @@ def test_rep_decompose_spec_examples():
     assert not r.applicable
     r = rep_decompose(100, 4, 3, 1)
     assert (r.d, r.e, r.applicable) == (0, 3, True)
+    with pytest.raises(ValueError, match="c must be >= 1, got 0"):
+        rep_decompose(100, 4, 3, 0)
 
 
 @settings(max_examples=300)

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
 import znbases
-from znbases import cli
+from znbases import affine, cli
 from znbases.cli import main
 
 
@@ -169,6 +169,10 @@ def test_nonpositive_modulus_is_named_before_the_residues():
     (("canon", "--n", "5", "--set", ""), "canonical form of an empty set"),
     (("df-analyze", "--n", "5", "--set", ""), "structure analysis of an empty set"),
     (("pipeline", "--n", "5", "--set", "", "--k", "3"), "pipeline trace of an empty set"),
+    (("fl-check", "--set", "0,1", "--h-max", "0"), "h_max must be >= 1, got 0"),
+    (("pigeonhole", "--n", "10", "--k", "3", "--t", "0"), "t must lie in [1, 9], got 0"),
+    (("pigeonhole", "--n", "10", "--k", "3", "--t", "10"), "t must lie in [1, 9], got 10"),
+    (("order", "--n", "x", "--set", "0"), "Invalid value for '--n': 'x' is not a valid integer."),
 ])
 def test_refusal_prints_usage_and_message(args, message):
     # every refusal, the library's and the command's own, in one stderr shape
@@ -234,6 +238,14 @@ def test_kl_bound_check_verifies_enumerated_bases():
     assert res.output.splitlines()[-1].endswith(",0")  # zero violations
 
 
+def test_kl_bound_check_exits_1_on_a_violation(monkeypatch):
+    # the bound holds on every enumerable modulus, so the check is faked
+    monkeypatch.setattr(cli, "check_kl_bound", lambda report, limit: (7, 1))
+    res = run("kl-bound", "--n", "12", "--rho", "5", "--check")
+    assert res.exit_code == 1
+    assert res.output.splitlines()[-1] == "checked 7 basis orbits, 1 violations"
+
+
 def test_kl_bound_check_above_the_limit_names_limit():
     # kl-bound has no cardinality cap, so the refusal must name --limit
     for args in (("--n", "30", "--rho", "5"), ("--n", "21", "--rho", "5", "--limit", "20")):
@@ -261,6 +273,21 @@ def test_fl_check_pass_and_fail_exit_codes():
     assert run("fl-check", "--set", "0,2,3,7", "--h-max", "3").exit_code == 0
 
 
+def test_fl_check_exits_1_on_a_violated_bound(monkeypatch):
+    # the growth bound is a theorem, so a violation is faked in the last record
+    real = cli.fl_growth_check
+
+    def violated(members, h_max):
+        report = real(members, h_max)
+        *rest, last = report.records
+        return report._replace(records=(*rest, last._replace(holds=False)))
+
+    monkeypatch.setattr(cli, "fl_growth_check", violated)
+    res = run("fl-check", "--set", "0,1,3", "--h-max", "3")
+    assert res.exit_code == 1
+    assert res.output.splitlines()[-1] == "  h=3   |hA|=9      bound 9      VIOLATED"
+
+
 def test_sandwich_exit_codes():
     assert run("sandwich", "--n", "9", "--a", "3", "--b", "1").exit_code == 0
     res = run("sandwich", "--n", "20", "--a", "2", "--b", "19")
@@ -286,6 +313,31 @@ def test_pigeonhole_output():
     row = res.output.splitlines()[1].split(",")
     assert row[:6] == ["100", "4", "34", "3", "2", "2"]
     assert row[9:12] == ["1", "2", "true"]
+
+
+def test_pigeonhole_exits_1_on_a_violated_bound(monkeypatch):
+    # the witness bound is a theorem, so a violation is faked
+    real = cli.witness_order_bound
+    monkeypatch.setattr(cli, "witness_order_bound", lambda w: real(w)._replace(holds=False))
+    res = run("pigeonhole", "--n", "100", "--k", "4", "--t", "34")
+    assert res.exit_code == 1
+    assert "order {0,1,34} = 34 <= 152: VIOLATED" in res.output.splitlines()
+
+
+def test_canon_computes_the_canonical_form_once(monkeypatch):
+    # the orbit size is read off the form canon already has
+    calls = []
+    real = affine.canonical_form
+
+    def counted(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(affine, "canonical_form", counted)
+    monkeypatch.setattr(cli, "canonical_form", counted)
+    res = run("canon", "--n", "12", "--set", "0,3,5,9")
+    assert res.output == "canonical: {0,1,3,9}\norbit size: 48\n"
+    assert len(calls) == 1
 
 
 def test_df_analyze_json():
@@ -452,6 +504,7 @@ def loose_argv(draw):
 @example(["order", "--n", "5", "--set", "0,1", "--n", "6"])
 @example(["order", "--n", "5", "--set"])
 @example(["order", "--n", "5", "--", "--set", "0,1"])
+@example(["order", "--n", "x", "--set", "0"])
 def test_strict_parser_agrees_with_click(argv):
     # whenever the strict parser takes argv, click parses it to the same
     # keyword arguments, so the click path would have run the same call

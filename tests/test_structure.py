@@ -54,6 +54,10 @@ def test_coset_profile_spec_examples():
     assert coset_profile(a, 5) == (2, Fraction(1))
     assert coset_profile(ZnSet(12, (1 << 12) - 1), 4) == (3, Fraction(1))
     assert coset_profile(ZnSet.from_text(12, "0"), 4) == (1, Fraction(1, 4))
+    with pytest.raises(ValueError, match="m must divide the modulus 12, got 5"):
+        coset_profile(ZnSet.from_text(12, "0"), 5)
+    with pytest.raises(ValueError, match="coset profile of an empty set"):
+        coset_profile(ZnSet(12, 0), 4)
 
 
 def test_ap_cover_spec_examples():
@@ -62,6 +66,8 @@ def test_ap_cover_spec_examples():
     for q in (2, 5, 8):
         assert ap_cover(ZnSet(q, (1 << q) - 1)) == (0, 1, q)
     assert ap_cover(ZnSet.from_text(1, "0")) == (0, 1, 1)
+    with pytest.raises(ValueError, match="AP cover of an empty set"):
+        ap_cover(ZnSet(7, 0))
 
 
 @pytest.mark.parametrize("coprime_only", [False, True])

@@ -26,6 +26,8 @@ def test_add_sets_spec_examples():
     assert add_sets(a, a) == ZnSet.from_text(9, "0,1,2,3,4,6")
     h = ZnSet.from_text(20, "0,4,8,12,16")
     assert add_sets(h, h) == h
+    empty = ZnSet(9, 0)
+    assert add_sets(empty, a) == add_sets(a, empty) == add_sets(empty, empty) == empty
 
 
 def test_add_sets_modulus_mismatch():
@@ -47,8 +49,10 @@ def test_h_fold_spec_examples():
         9, "0,1,2,3,4,5,6,7"
     )
     assert h_fold(ZnSet.from_text(9, "0,1,3"), 4).is_full()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="h must be >= 1, got 0"):
         h_fold(ZnSet.from_text(5, "0,1"), 0)
+    with pytest.raises(ValueError, match="h-fold sumset of an empty set"):
+        h_fold(ZnSet(5, 0), 2)
 
 
 @settings(max_examples=60)
