@@ -8,12 +8,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
 
 from .core import ZnSet, mask_less
 
 
-@lru_cache(maxsize=None)
 def units(n: int) -> tuple[int, ...]:
     """The residues invertible mod n, in increasing order."""
     return tuple(u for u in range(1, n + 1) if math.gcd(u, n) == 1) if n > 1 else (0,)

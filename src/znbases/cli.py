@@ -30,6 +30,7 @@ from .core import ZnSet, _literal_members, encode, format_fraction, format_order
 from .spectrum import (
     DEFAULT_CARD_CAP,
     DEFAULT_EXHAUSTIVE_LIMIT,
+    _check_conjecture_args,
     check_kl_bound,
     spectrum,
     verify_conjecture,
@@ -330,6 +331,10 @@ def conjecture_cmd(k, n, n_range, max_card, limit, shards, no_kl_cap, fmt) -> No
         lo, hi = _parse_range(n_range)
         moduli = list(range(lo, hi + 1))
     _check_shards(shards)
+    # refuse before any search what the sweep would refuse part way: bad
+    # arguments at its first modulus, n > limit without a cap at limit + 1
+    for m in (moduli[0], max(moduli[0], min(limit + 1, moduli[-1]))):
+        _check_conjecture_args(m, k, max_card, limit)
     reports = [
         verify_conjecture(m, k, max_card=max_card, limit=limit, use_kl_cap=not no_kl_cap)
         for m in moduli

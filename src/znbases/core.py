@@ -192,15 +192,11 @@ def is_basis(a: ZnSet) -> bool:
     """Whether some h-fold sumset of A covers all of Z_n.
 
     Criterion: translate any element to 0 and test gcd of the differences
-    together with n.  A singleton is never a basis unless n = 1 (the plain
-    gcd-of-elements test would wrongly accept e.g. {1}); every nonempty
-    subset of Z_1 is a basis.
+    together with n.  A singleton has no differences, so its gcd is n: it
+    is a basis only when n = 1 (the plain gcd-of-elements test would
+    wrongly accept e.g. {1}); every nonempty subset of Z_1 is a basis.
     """
     if not a:
-        return False
-    if a.modulus == 1:
-        return True
-    if len(a) < 2:
         return False
     it = iter(a)
     a0 = next(it)

@@ -153,14 +153,9 @@ def enumerate_bases(
     max_card members; that mode runs the pruned search of _canonical_bases
     with floor 0 at the call, as no such state fits at the moduli it serves.
     """
-    _check_args(n, max_card)
+    _check_args(n, max_card, limit)
     if max_card is not None:
         return (rep for rep, _ in _bases_above(n, 0, max_card, limit))
-    if n > limit:
-        raise ValueError(
-            f"exhaustive enumeration is limited to n <= {limit}; "
-            f"use a cardinality cap for n = {n}"
-        )
     try:
         state = bytearray(1 << (n - 1))
     except (OverflowError, MemoryError):  # OverflowError: more than sys.maxsize
@@ -169,11 +164,27 @@ def enumerate_bases(
     return _exhaustive_bases(n, state)
 
 
-def _check_args(n: int, max_card: int | None) -> None:
+def _check_args(n: int, max_card: int | None, limit: int | None = None) -> None:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if max_card is not None and not 1 <= max_card <= n:
         raise ValueError(f"max_card must be in [1, {n}], got {max_card}")
+    if max_card is None and limit is not None and n > limit:
+        raise ValueError(
+            f"exhaustive enumeration is limited to n <= {limit}; "
+            f"use a cardinality cap for n = {n}"
+        )
+
+
+def _check_conjecture_args(n: int, k: int, max_card: int | None, limit: int) -> None:
+    """Raise what verify_conjecture(n, k, max_card, limit) raises before it
+    searches, in its order.  k = 1 searches nothing, so only k >= 2 is held
+    to limit."""
+    _check_args(n, max_card)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if k > 1:
+        _check_args(n, max_card, limit)
 
 
 def _bases_above(
@@ -187,8 +198,7 @@ def _bases_above(
     _canonical_bases, whose bases are sorted here.
     """
     if max_card is not None:
-        found = [(ZnSet(n, mask), rho) for mask, rho
-                 in _canonical_bases(n, floor, max_card).items()]
+        found = _canonical_bases(n, floor, max_card)
         found.sort(key=lambda pair: canonical_sort_key(pair[0]))
         return found
     found = []
@@ -310,17 +320,17 @@ def check_kl_bound(
 # affine.is_canonical therefore compares A only with the images u*(A - x)
 # for such pairs and lifts, at most |A|*(|A| - 1)*g of them instead of the
 # phi(n)*|A| images that hold 0 (30 against 480 for a 6-set in Z_200 with
-# g = 1).  The search walks plain member tuples and masks, and builds a
-# ZnSet only for order() and is_canonical.
+# g = 1).  The search walks plain member tuples and masks, builds a ZnSet
+# only for order() and is_canonical, and keeps that ZnSet for each basis.
 
 
-def _canonical_bases(n: int, floor: int, cap: int) -> dict[int, int]:
-    """{canonical mask: order} for every basis orbit of Z_n with order above
-    floor and at most cap members."""
+def _canonical_bases(n: int, floor: int, cap: int) -> list[tuple[ZnSet, int]]:
+    """(canonical form, order) for every basis orbit of Z_n with order above
+    floor and at most cap members, in the order the search meets them."""
     if n == 1:
-        return {1: 1} if floor < 1 else {}  # {0} is a basis of order 1
+        return [(ZnSet(1, 1), 1)] if floor < 1 else []  # {0} is a basis of order 1
     check_triples = math.comb(floor + 2, 2) >= n  # else every triple order > floor
-    found: dict[int, int] = {}
+    found: list[tuple[ZnSet, int]] = []
     capping: dict[int, bool] = {}  # the triple memo: a*n + b -> caps {0, a, b}
 
     def extend(members: tuple[int, ...], mask: int, z: int, span: int, g: int) -> None:
@@ -352,7 +362,7 @@ def _canonical_bases(n: int, floor: int, cap: int) -> dict[int, int]:
             if rho <= floor:
                 return  # no superset can climb back above floor
             if is_canonical(a):
-                found[mask] = rho
+                found.append((a, rho))
         members += (z,)
         if len(members) >= cap:
             return
@@ -360,9 +370,10 @@ def _canonical_bases(n: int, floor: int, cap: int) -> dict[int, int]:
             extend(members, mask, w, span, g)
 
     if cap >= 2:
-        rho = order(ZnSet(n, 0b11))  # the pair {0, 1}
+        pair = ZnSet(n, 0b11)  # {0, 1}
+        rho = order(pair)
         if rho > floor:
-            found[0b11] = rho
+            found.append((pair, rho))
     if cap >= 3:
         for g in divisors(n)[:-1]:
             for y in range(g + 1, n):
@@ -387,9 +398,7 @@ def verify_conjecture(
     to the exact bound for orders above n/k, which shrinks the search without
     changing its result.
     """
-    _check_args(n, max_card)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_conjecture_args(n, k, max_card, limit)
 
     mode = "exhaustive" if max_card is None else "card_capped"
     kl_cap: int | None = None

@@ -37,8 +37,6 @@ def project(a: ZnSet, q: int) -> ZnSet:
     n = a.modulus
     if q < 1 or n % q != 0:
         raise ValueError(f"q must divide the modulus {n}, got {q}")
-    if q == n:
-        return a
     return ZnSet.from_members(q, {x % q for x in a})
 
 

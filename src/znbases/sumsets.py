@@ -15,17 +15,12 @@ def add_sets(x: ZnSet, y: ZnSet) -> ZnSet:
     """
     x._check_modulus(y)
     n = x.modulus
-    if not x.mask or not y.mask:
-        return ZnSet(n, 0)
     driver, other = (x, y) if len(x) <= len(y) else (y, x)
     full = (1 << n) - 1
     om = other.mask
     acc = 0
     for shift in driver:
-        if shift == 0:
-            acc |= om
-        else:
-            acc |= (om << shift | om >> (n - shift)) & full
+        acc |= (om << shift | om >> (n - shift)) & full
         if acc == full:
             break
     return ZnSet(n, acc)
@@ -59,8 +54,6 @@ def order(a: ZnSet) -> int | None:
     if not a:
         raise ValueError("order of an empty set")
     n = a.modulus
-    if n == 1:
-        return 1
     base = a.rotate(-(a.mask & -a.mask).bit_length() + 1)
     if len(base) == 3:
         _, x, y = base

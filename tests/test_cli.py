@@ -82,6 +82,31 @@ def test_conjecture_cap_out_of_range_exits_2_before_the_trivial_cases():
         assert f"max_card must be in [1, {n}], got {cap}" in res.stderr
 
 
+def test_sweep_past_the_limit_is_refused_before_any_search(monkeypatch):
+    # the sweep's first refusal is raised before the first modulus is
+    # searched, with the message the search would have raised on reaching it
+    calls = []
+    real = cli.verify_conjecture
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "verify_conjecture", counted)
+    for args, message in (
+            (("--k", "3", "--n-range", "15..21"), "cardinality cap for n = 21"),
+            (("--k", "3", "--n-range", "0..25"), "n must be positive, got 0")):
+        res = run("conjecture", *args)
+        assert (res.exit_code, res.stdout) == (2, ""), args
+        assert message in res.stderr, args
+        assert calls == [], args
+    # k = 1 has nothing to search, so --limit does not apply
+    res = run("conjecture", "--k", "1", "--n-range", "18..25")
+    assert res.exit_code == 0
+    assert len(res.stdout.splitlines()) == 1 + 8
+    assert calls == list(range(18, 26))
+
+
 def test_spectrum_cap_out_of_range_exits_2():
     for cap in ("0", "6", "9"):
         res = run("spectrum", "--n", "5", "--max-card", cap)

@@ -209,7 +209,9 @@ def test_conjecture_spec_examples():
 
 
 def test_conjecture_capped_equals_exhaustive_when_cap_is_full():
-    for n in range(2, 19):
+    # n = 1 takes the search's hand-built {0}, as spectrum(1, max_card=1) does
+    assert spectrum(1, max_card=1).witnesses == spectrum(1).witnesses
+    for n in range(1, 19):
         for k in range(2, 9):
             ex = verify_conjecture(n, k)
             for kl in (True, False):
