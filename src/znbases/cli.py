@@ -6,7 +6,9 @@ byte-identical output.  All configuration is by flags; no environment
 variables are consulted.
 
 Exit codes: 0 success; 1 when a verify-style command (fl-check, sandwich,
-pigeonhole) finds a violated bound; 2 on usage errors.
+pigeonhole, kl-bound --check) finds a violated bound; 2 on usage errors and
+on requests too large to compute (a MemoryError or OverflowError raised by
+the command, refused with OVERSIZED).
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ SET = ("--set", "set_text", str, True, None, "Set literal.")
 LIMIT = ("--limit", "limit", int, False, DEFAULT_EXHAUSTIVE_LIMIT, None)
 SIGMA = ("--sigma", "sigma", str, False, "2.04", "Doubling threshold as an exact rational.")
 FORMAT = ("--format", "fmt", ("table", "json", "csv"), False, "table", "Output format.")
+OVERSIZED = "the request needs more memory than can be allocated here"
 
 
 def _command(name: str, *rows):
@@ -166,11 +169,13 @@ def _strict_parse(argv: list[str]):
     return argv[0], params
 
 
-def _click_group(refusal: ValueError | None = None):
+def _click_group(refusal: Exception | None = None):
     """The click group built from COMMANDS, for what the strict parser leaves
     to click: --help, usage errors and refusals.  A ValueError from a body is
     refused as a usage error in the command's context, so stderr shows its
-    Usage: line too; a refusal already met is raised again, not recomputed."""
+    Usage: line too, and a MemoryError or OverflowError is refused the same
+    way with OVERSIZED; a refusal already met is raised again, not
+    recomputed."""
     import click
 
     class Command(click.Command):
@@ -181,6 +186,8 @@ def _click_group(refusal: ValueError | None = None):
                 return super().invoke(ctx)
             except ValueError as exc:
                 raise click.UsageError(str(exc), ctx) from exc
+            except (MemoryError, OverflowError) as exc:
+                raise click.UsageError(OVERSIZED, ctx) from exc
 
     def option(flag, dest, kind, required, default, text):
         # only the settings a row needs: to click an explicit default counts
@@ -215,7 +222,7 @@ def main(args=None, prog_name=None, **extra):
             sys.stdout.flush()
         else:
             COMMANDS[parsed[0]][0](**parsed[1])
-    except ValueError as exc:
+    except (ValueError, MemoryError, OverflowError) as exc:
         _click_group(exc).main(argv, prog_name, **extra)
     except (EOFError, KeyboardInterrupt):
         sys.stderr.write("\nAborted!\n")

@@ -3,8 +3,8 @@ gap detection, and the empirical large-order gap measurement.
 
 Enumeration and aggregation are deterministic: every report reads its
 orders off one list of (representative, order) pairs in the canonical order
-(ascending canonical_sort_key), which both the orderly walk and the sorted
-result of the pruned search give.
+(ascending canonical_sort_key), the order in which both the orderly walk and
+the pruned search meet the bases.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Iterator
 from .affine import is_canonical, units
 from .bounds import KlBoundBreakdown, kl_bound, min_gap_to_fractions
 from .core import (
-    _LANE_FORMATS, _MEMBER_FLAGS, ZnSet, canonical_sort_key, divisors, is_basis, record,
+    _LANE_FORMATS, _MEMBER_FLAGS, ZnSet, divisors, is_basis, record,
 )
 from .sumsets import _triple_order, order
 
@@ -155,7 +155,7 @@ def enumerate_bases(
     """
     _check_args(n, max_card, limit)
     if max_card is not None:
-        return (rep for rep, _ in _bases_above(n, 0, max_card, limit))
+        return (rep for rep, _ in _canonical_bases(n, 0, max_card))
     try:
         state = bytearray(1 << (n - 1))
     except (OverflowError, MemoryError):  # OverflowError: more than sys.maxsize
@@ -191,16 +191,12 @@ def _bases_above(
     n: int, floor: int, max_card: int | None, limit: int
 ) -> list[tuple[ZnSet, int]]:
     """(representative, order) for every basis orbit of Z_n with order above
-    floor, in the canonical order (ascending canonical_sort_key).
-
-    Uncapped (max_card None) runs the orderly walk, which needs n <= limit
-    and meets the bases in that order.  Capped runs the pruned search of
-    _canonical_bases, whose bases are sorted here.
+    floor, in the canonical order (ascending canonical_sort_key): the order
+    in which the orderly walk (max_card None, which needs n <= limit) and the
+    pruned search of _canonical_bases (capped) meet them.
     """
     if max_card is not None:
-        found = _canonical_bases(n, floor, max_card)
-        found.sort(key=lambda pair: canonical_sort_key(pair[0]))
-        return found
+        return _canonical_bases(n, floor, max_card)
     found = []
     for rep in enumerate_bases(n, None, limit):
         rho = order(rep)
@@ -262,21 +258,25 @@ def check_kl_bound(
 # -- the pruned search (every cardinality-capped run) ------------------------
 #
 # The canonical second member.  Let A have at least two members and let g be
-# the least gcd(y - x, n) over its pairs; g is a proper divisor of n.  Then
-# the canonical form of A is {0, g} together with members all greater than
-# g.  Some image holds 0 and g (translate x to 0, then a unit carries y - x
-# to g).  An image holding 0 and some m with 0 < m < g would have a pair
-# with gcd(m, n) < g, but affine maps keep the gcd of every difference with
-# n.  So every canonical set of three or more members is {0, g, y} plus
-# members above y, with g a proper divisor of n and y > g, and the only
-# canonical 2-element basis is {0, 1}.  The search roots at those triples
-# and that pair, and adds later members in increasing order, so it reaches
-# each set once and keeps the canonical bases.
+# the least gcd(y - x, n) over its pairs, a proper divisor of n.  Some image
+# of A holds 0 and g (translate x to 0, then a unit carries y - x to g), and
+# none holds 0 and some m with 0 < m < g, as affine maps keep the gcd of
+# every difference with n.  So the canonical form of A is {0, g} plus
+# members above g.  The search roots at {0, g} for each proper divisor g
+# (the basis {0, 1} is the root g = 1) and adds members in increasing order,
+# so it reaches each such set once and keeps the canonical bases.
 #
-# Under a root {0, g, y} with g > 1, a set holding a pair with gcd(z - x, n)
-# below g has least pair gcd below g, so its canonical second member is
-# below g and it is not canonical.  Adding members only lowers that gcd, so
-# no set grown from it is canonical either: the search drops it unvisited.
+# The canonical order.  Of two ascending member tuples A and B holding 0, A
+# comes first (mask_less) exactly when A has the smaller member at the first
+# index where they differ, which B lacks as its later members are larger,
+# or B is a proper prefix of A, so that A's next member is the lowest
+# residue on which they differ.  The search takes roots in increasing g and
+# new members in increasing order, and keeps each basis after the sets
+# grown from it: that post-order is the canonical order, and nothing sorts.
+#
+# Under a root {0, g} with g > 1, a set holding a pair with gcd(z - x, n)
+# below g has a canonical second member below g, so it is not canonical,
+# and adding members only lowers that gcd: the search drops it unvisited.
 # The parent passed this test, so only pairs holding the new member are
 # checked.
 #
@@ -295,7 +295,8 @@ def check_kl_bound(
 # and (d - 1)B + rA, which lies in (d - 1 + r)B, is all of Z_n.  Hence
 # order(B) <= r + d - 1, and when r + d - 1 <= floor no set grown from A is
 # kept: the search drops A's subtree.  The bound is at least d, so it is
-# only computed when d <= floor.
+# only computed when d <= floor.  On a root {0, g} it costs one order() of
+# {0, 1} in Z_{n/g} and drops the root when n/g + g - 2 <= floor.
 #
 # The sub-basis bound.  If T is a basis inside A, then hT lies in hA, so
 # order(A) <= order(T), and the same holds for every set grown from A.  A
@@ -326,7 +327,7 @@ def check_kl_bound(
 
 def _canonical_bases(n: int, floor: int, cap: int) -> list[tuple[ZnSet, int]]:
     """(canonical form, order) for every basis orbit of Z_n with order above
-    floor and at most cap members, in the order the search meets them."""
+    floor and at most cap members, in the canonical order."""
     if n == 1:
         return [(ZnSet(1, 1), 1)] if floor < 1 else []  # {0} is a basis of order 1
     check_triples = math.comb(floor + 2, 2) >= n  # else every triple order > floor
@@ -334,9 +335,9 @@ def _canonical_bases(n: int, floor: int, cap: int) -> list[tuple[ZnSet, int]]:
     capping: dict[int, bool] = {}  # the triple memo: a*n + b -> caps {0, a, b}
 
     def extend(members: tuple[int, ...], mask: int, z: int, span: int, g: int) -> None:
-        # visit members + (z,), z above them all; members holds 0, its
-        # second member is g, mask is its bit mask and span = gcd(n,
-        # members), and a set holding 0 is a basis iff that gcd is 1
+        # visit members + (z,), z above them all, under the root {0, g};
+        # members holds 0, mask is its bit mask and span = gcd(n, members),
+        # and a set holding 0 is a basis iff that gcd is 1
         if g > 1 and any(math.gcd(z - x, n) < g for x in members):
             return  # never canonical, nor is any set grown from it
         span = math.gcd(span, z)
@@ -345,6 +346,7 @@ def _canonical_bases(n: int, floor: int, cap: int) -> list[tuple[ZnSet, int]]:
             if order(quotient) + span - 1 <= floor:
                 return  # the quotient bound caps the set and every set grown from it
         mask |= 1 << z
+        kept = None
         if span == 1:
             if check_triples and len(members) >= 3:
                 for x, y in itertools.combinations(members, 2):
@@ -362,22 +364,17 @@ def _canonical_bases(n: int, floor: int, cap: int) -> list[tuple[ZnSet, int]]:
             if rho <= floor:
                 return  # no superset can climb back above floor
             if is_canonical(a):
-                found.append((a, rho))
+                kept = (a, rho)
         members += (z,)
-        if len(members) >= cap:
-            return
-        for w in range(z + 1, n):
-            extend(members, mask, w, span, g)
+        if len(members) < cap:
+            for w in range(z + 1, n):
+                extend(members, mask, w, span, g)
+        if kept:
+            found.append(kept)  # after its children: the post-order
 
     if cap >= 2:
-        pair = ZnSet(n, 0b11)  # {0, 1}
-        rho = order(pair)
-        if rho > floor:
-            found.append((pair, rho))
-    if cap >= 3:
         for g in divisors(n)[:-1]:
-            for y in range(g + 1, n):
-                extend((0, g), 1 | 1 << g, y, g, g)
+            extend((0,), 1, g, n, g)
     return found
 
 

@@ -292,6 +292,24 @@ def test_exhaustive_run_too_large_to_index_exits_2():
         assert "2^69 bytes" in res.stderr, args
 
 
+def test_request_too_large_to_compute_exits_2(monkeypatch):
+    # a MemoryError or OverflowError from a command body is refused like a
+    # bad argument, with exit 2: exit 1 would report a violated bound.  The
+    # shift by a 21-digit modulus overflows at once; a real allocation that
+    # could succeed is never attempted, so fl-check's body is faked.
+    def too_large(members, h_max):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "fl_growth_check", too_large)
+    for args in (("order", "--n", "100000000000000000000", "--set", "0,1"),
+                 ("order", "--n=100000000000000000000", "--set", "0,1"),
+                 ("fl-check", "--set", "0,1,3", "--h-max", "2"),
+                 ("fl-check", "--set", "0,1,3", "--h-max=2")):
+        res = CliRunner().invoke(main, args)
+        assert (res.exit_code, res.stdout) == (2, ""), args
+        assert res.stderr.endswith(f"\nError: {cli.OVERSIZED}\n"), args
+
+
 def test_fl_check_pass_and_fail_exit_codes():
     assert run("fl-check", "--set", "0,1,3", "--h-max", "5").exit_code == 0
     # hypothesis fails: nothing asserted, exit 0

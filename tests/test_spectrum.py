@@ -81,6 +81,20 @@ def test_exhaustive_enumeration_yields_the_canonicality_scan():
     assert ZnSet.from_members(30, (0, 2, 5)) in expected
 
 
+def test_capped_search_lists_the_bases_in_canonical_order():
+    # The search roots at {0, g} in increasing g, adds members in increasing
+    # order and keeps each basis after the sets grown from it; that
+    # post-order is the canonical order, and no sort follows the search.
+    from znbases.spectrum import _canonical_bases
+
+    cases = [(n, floor, cap) for n in range(1, 31)
+             for floor in sorted({0, *(n // k for k in range(2, 6))})
+             for cap in range(1, 6)]
+    for n, floor, cap in [*cases, (300, 75, 8), (420, 60, 12), (240, 40, 10)]:
+        reps = [rep for rep, _ in _canonical_bases(n, floor, cap)]
+        assert reps == sorted(reps, key=canonical_sort_key), (n, floor, cap)
+
+
 def test_enumerate_bases_checks_its_arguments_when_called():
     # refused at the call, before any next() on the returned iterator
     with pytest.raises(ValueError, match="n must be positive"):
@@ -422,5 +436,8 @@ def test_capped_search_calls_order_only_on_bases(monkeypatch):
     # holding a basis triple of order <= n/k are dropped before order()
     # runs.  A set in a proper subgroup dZ_60 with room to grow gets one
     # order() call in Z_{60/d}, for the quotient bound.
+    # The roots {0, g} with 1 < g <= n/k get that call too: 9 of them here,
+    # and the bound drops the subtrees of 6, so the quotients get 56 calls,
+    # not the 89 of the search that rooted at the triples {0, g, y}.
     assert moduli.count(60) == 89
-    assert len(moduli) - moduli.count(60) == 89
+    assert len(moduli) - moduli.count(60) == 56
