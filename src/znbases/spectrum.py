@@ -278,14 +278,29 @@ def check_kl_bound(
 # below g has a canonical second member below g, so it is not canonical,
 # and adding members only lowers that gcd: the search drops it unvisited.
 # The parent passed this test, so only pairs holding the new member are
-# checked.
+# checked, and those with 0 and g once per root, when the root lists the
+# members that may follow g.
 #
 # Adding an element to a set never increases its order (the h-fold sumsets
 # only grow), so a subset whose order is finite and <= floor cannot extend
 # to a basis of order > floor: its whole supertree is pruned.  Subsets of
 # order infinity must still be expanded.  Every searched set holds 0, so it
 # has finite order exactly when the gcd of n and its members is 1; the
-# search carries that gcd down the tree and calls order() only when it is 1.
+# search carries that gcd down the tree and computes an order only when it
+# is 1.
+#
+# The orders.  The search computes each order in Z_n without a ZnSet.
+# The root {0, 1} has order n - 1, and a triple {0, g, z} the closed form
+# _triple_order(n, g, z) of the minimum-distance diagram.  A set of four or
+# more members grows its levels from its parent's: if A holds 0, then
+# h(A | {z}) = hA | ((h - 1)(A | {z}) + z), one rotation and one OR per
+# level instead of |A| - 1 rotations, and the order is the number of levels.
+# A set keeps its levels, up to the full one, only when it ran this test
+# and has children to read them.  The levels of a triple, or of a set in a
+# proper subgroup, are grown again for each child that reaches the test,
+# from its own parent's (a triple's from those of {0, g} = {0} | {g}).
+# Kept, a triple's levels would hold r*n bits for a triple of order r:
+# (50000, 4) peaked at 261 MiB that way, against about 20 MiB.
 #
 # The quotient bound.  Let A hold 0 and let d = gcd(n, members of A) > 1, so
 # A lies in H = dZ_n and A/d is a basis of Z_{n/d}; with r its order there,
@@ -295,23 +310,28 @@ def check_kl_bound(
 # and (d - 1)B + rA, which lies in (d - 1 + r)B, is all of Z_n.  Hence
 # order(B) <= r + d - 1, and when r + d - 1 <= floor no set grown from A is
 # kept: the search drops A's subtree.  The bound is at least d, so it is
-# only computed when d <= floor.  On a root {0, g} it costs one order() of
-# {0, 1} in Z_{n/g} and drops the root when n/g + g - 2 <= floor.
+# only computed when d <= floor.  r costs nothing on a root {0, g}, whose
+# quotient {0, 1} has order n/g - 1, so the root is dropped when
+# n/g + g - 2 <= floor, and one _triple_order on a triple; only a quotient
+# of four or more members calls order().
 #
 # The sub-basis bound.  If T is a basis inside A, then hT lies in hA, so
 # order(A) <= order(T), and the same holds for every set grown from A.  A
 # child of four or more members with a basis triple of order <= floor is
-# dropped before order() runs on it.  A basis triple without the new member
-# lies in the parent, whose order was above floor, so only triples holding
-# the new member are checked.  A triple T has |hT| <= C(h + 2, 2), so its
-# order is at least the least h with C(h + 2, 2) >= n; below that floor the
-# check cannot fire and is skipped.  A translate {0, y - x, z - x} recurs in
-# many sets, so one dict per search, dropped when the search returns, keeps
-# whether each is a basis triple of order <= floor, keyed by
-# (y - x)*n + (z - x) with 0 < y - x < z - x: each triple order is computed
-# once per search.  Over the conjecture-sweep moduli that is 1,131
-# computations instead of 3,812, and at (60, 5, cap 8) 1,112 instead of
-# 14,145.
+# dropped before its levels are grown.  A basis triple without the new
+# member lies in the parent, whose order was above floor, so only triples
+# holding the new member are checked.  A triple T has |hT| <= C(h + 2, 2),
+# so its order is at least the least h with C(h + 2, 2) >= n; below that
+# floor the check cannot fire and is skipped.  A translate {0, y - x, z - x}
+# recurs in many sets, so one dict per search, dropped when the search
+# returns, keeps its order (None for a non-basis), keyed by (y - x)*n +
+# (z - x) with 0 < y - x < z - x: each triple order is computed once per
+# search.  The triples {0, g, w} of the pair (0, g), which every set under
+# the root {0, g} holds, are the root's own children, so their orders come
+# first, when the root lists the members w that may follow g: w is left
+# out when {0, g, w} caps, so no set holding it is visited, and the check
+# skips that pair.  At (480, 8) nine in ten of the children the check
+# dropped were dropped by that pair.
 #
 # The canonicity test.  By the lemma on the canonical second member, the
 # orbit minimum of a set A of two or more members holds 0 and g, its least
@@ -321,8 +341,30 @@ def check_kl_bound(
 # affine.is_canonical therefore compares A only with the images u*(A - x)
 # for such pairs and lifts, at most |A|*(|A| - 1)*g of them instead of the
 # phi(n)*|A| images that hold 0 (30 against 480 for a 6-set in Z_200 with
-# g = 1).  The search walks plain member tuples and masks, builds a ZnSet
-# only for order() and is_canonical, and keeps that ZnSet for each basis.
+# g = 1).  The search walks plain member tuples and masks, and builds a
+# ZnSet only for a basis above floor: is_canonical tests it, and the list
+# keeps it.
+
+
+def _levels(n: int, mask: int, z: int, above: Iterator[int]) -> Iterator[int]:
+    """The masks of 2B, 3B, ..., where B = A | {z} has the given mask, A
+    holds 0 and above yields the masks of 2A, 3A, ...: without end, or up
+    to the first full one, by which hB is full too."""
+    full = (1 << n) - 1
+    back = n - z
+    for level in above:
+        mask = level | ((mask << z | mask >> back) & full)
+        yield mask
+
+
+def _quotient_order(n: int, d: int, members: tuple[int, ...]) -> int:
+    """The order of members/d in Z_{n/d}, where members holds 0 and
+    d = gcd(n, members), so that the quotient set is a basis."""
+    if len(members) == 2:  # {0, x/d} with x/d a unit mod n/d
+        return n // d - 1
+    if len(members) == 3:
+        return _triple_order(n // d, members[1] // d, members[2] // d)
+    return order(ZnSet.from_members(n // d, (x // d for x in members)))
 
 
 def _canonical_bases(n: int, floor: int, cap: int) -> list[tuple[ZnSet, int]]:
@@ -330,51 +372,108 @@ def _canonical_bases(n: int, floor: int, cap: int) -> list[tuple[ZnSet, int]]:
     floor and at most cap members, in the canonical order."""
     if n == 1:
         return [(ZnSet(1, 1), 1)] if floor < 1 else []  # {0} is a basis of order 1
+    full = (1 << n) - 1
     check_triples = math.comb(floor + 2, 2) >= n  # else every triple order > floor
     found: list[tuple[ZnSet, int]] = []
-    capping: dict[int, bool] = {}  # the triple memo: a*n + b -> caps {0, a, b}
+    triples: dict[int, int | None] = {}  # the triple memo: a*n + b -> order of {0, a, b}
+    ws: list[int] = []  # under the current root {0, g}: the members that may follow g
 
-    def extend(members: tuple[int, ...], mask: int, z: int, span: int, g: int) -> None:
-        # visit members + (z,), z above them all, under the root {0, g};
-        # members holds 0, mask is its bit mask and span = gcd(n, members),
-        # and a set holding 0 is a basis iff that gcd is 1
-        if g > 1 and any(math.gcd(z - x, n) < g for x in members):
+    def above(cell: tuple, members: tuple[int, ...]) -> Iterator[int]:
+        # the masks of 2A, 3A, ... for A = members (three or more): read off
+        # the levels it keeps, up to the full one, or grown from its
+        # parent's without end, a triple's from those of {0, g} = {0} | {g}
+        levels, up, mask, _ = cell
+        if levels:
+            return itertools.islice(levels, 1, None)
+        g, z = members[1], members[-1]
+        return _levels(n, mask, z, above(up, members[:-1]) if up else
+                       _levels(n, 1 | 1 << g, g, itertools.repeat(1)))
+
+    def extend(members: tuple[int, ...], mask: int, i: int, span: int, up: tuple | None) -> None:
+        # visit members + (z,) for z = ws[i], above them all; members holds
+        # 0 and g, mask is its bit mask, span = gcd(n, members), and once it
+        # has three members up is its cell: (levels, parent cell, mask, pair
+        # offsets); a set holding 0 is a basis iff that gcd is 1
+        z = ws[i]
+        g = members[1]
+        if g > 1 and any(math.gcd(z - x, n) < g for x in members[2:]):
             return  # never canonical, nor is any set grown from it
         span = math.gcd(span, z)
-        if 1 < span <= floor and len(members) + 1 < cap:
-            quotient = ZnSet.from_members(n // span, (x // span for x in (*members, z)))
-            if order(quotient) + span - 1 <= floor:
+        size = len(members) + 1
+        if 1 < span <= floor and size < cap:
+            if _quotient_order(n, span, (*members, z)) + span - 1 <= floor:
                 return  # the quotient bound caps the set and every set grown from it
         mask |= 1 << z
         kept = None
+        levels: list[int] = []
         if span == 1:
-            if check_triples and len(members) >= 3:
-                for x, y in itertools.combinations(members, 2):
-                    key = (y - x) * n + z - x
-                    caps = capping.get(key)
-                    if caps is None:
-                        caps = capping[key] = math.gcd(n, y - x, z - x) == 1 and (
-                            _triple_order(n, y - x, z - x) <= floor)
-                    if caps:
-                        return  # a basis triple caps the set and every set grown from it
-            a = ZnSet(n, mask)
-            rho = order(a)
-            if rho is None:
-                raise RuntimeError(f"{a!r} generates Z_{n} but has infinite order")
+            if size == 3:
+                rho = triples[g * n + z]
+            else:
+                if check_triples:
+                    for key in up[3]:
+                        key += z
+                        t = triples.get(key, 0)  # 0: not computed yet
+                        if t == 0:
+                            a, b = divmod(key, n)
+                            t = triples[key] = (_triple_order(n, a, b)
+                                                if math.gcd(n, a, b) == 1 else None)
+                        if t is not None and t <= floor:
+                            return  # a basis triple caps the set and every set grown from it
+                # the set is a basis, so its levels reach Z_n; a set with
+                # children keeps them, for the children's order tests
+                levels = [mask] if size < cap else []
+                rho, last = 1, mask
+                for level in _levels(n, mask, z, above(up, members)):
+                    if level == last:
+                        break
+                    rho, last = rho + 1, level
+                    if levels:
+                        levels.append(level)
+                if last != full:
+                    raise RuntimeError(
+                        f"{ZnSet(n, mask)!r} generates Z_{n} but has infinite order")
             if rho <= floor:
                 return  # no superset can climb back above floor
+            a = ZnSet(n, mask)
             if is_canonical(a):
                 kept = (a, rho)
         members += (z,)
-        if len(members) < cap:
-            for w in range(z + 1, n):
-                extend(members, mask, w, span, g)
+        if size < cap:
+            # a child's triple {x, y, w} is {0, y - x, w - x} + x, memo key
+            # offset + w; the first pair, (0, g), is left out, as ws holds
+            # no w for which {0, g, w} caps
+            offsets = [(y - x) * n - x for x, y in
+                       itertools.islice(itertools.combinations(members, 2), 1, None)
+                       ] if check_triples else None
+            cell = (levels, up, mask, offsets)
+            for j in range(i + 1, len(ws)):
+                extend(members, mask, j, span, cell)
         if kept:
             found.append(kept)  # after its children: the post-order
 
-    if cap >= 2:
-        for g in divisors(n)[:-1]:
-            extend((0,), 1, g, n, g)
+    for g in divisors(n)[:-1] if cap >= 2 else ():
+        if g == 1:
+            if n - 1 <= floor:
+                continue  # {0, 1} has order n - 1, and no superset climbs above floor
+        elif g <= floor and cap > 2 and _quotient_order(n, g, (0, g)) + g - 1 <= floor:
+            continue  # the quotient bound caps {0, g} and every set grown from it
+        if cap > 2:
+            ws = []
+            for w in range(g + 1, n):
+                if g > 1 and (math.gcd(w, n) < g or math.gcd(w - g, n) < g):
+                    continue  # never canonical, nor is any set grown from {0, g, w}
+                if math.gcd(n, g, w) == 1:
+                    rho = triples.get(g * n + w, 0)
+                    if rho == 0:
+                        rho = triples[g * n + w] = _triple_order(n, g, w)
+                    if rho <= floor:
+                        continue  # {0, g, w} caps itself and every set that holds it
+                ws.append(w)
+            for i in range(len(ws)):
+                extend((0, g), 1 | 1 << g, i, g, None)
+        if g == 1:
+            found.append((ZnSet(n, 3), n - 1))  # {0, 1}, canonical, after its children
     return found
 
 

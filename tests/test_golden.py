@@ -1,7 +1,7 @@
 """Golden CLI gate: every run in golden.json must reproduce its exit code and
 stdout byte for byte.
 
-golden.json holds the argv, exit code and stdout of 239 runs.  Captured
+golden.json holds the argv, exit code and stdout of 241 runs.  Captured
 before the report codec and the CLI renderer were rewritten: ``--version``,
 every ``--help``, all 11 commands in table, json and csv, shard counts 1, 2,
 3 and 5, and a few usage errors (exit 2, empty stdout).  Captured before the
@@ -39,7 +39,11 @@ wrapped at 80 columns: ``--help``, ``df-analyze --help`` and ``pipeline
 --help``.  Outside a terminal click wraps help at min(columns, 80) - 2 = 78
 columns, and the runs are replayed at that width.  Captured because no
 other run prints the k = 2 note ``[matches (k-2)+1/k]``: ``family --k 2
---n-range 3..9`` in all three formats.
+--n-range 3..9`` in all three formats.  Captured before the pruned search
+read its orders off closed forms and levels grown from the parent set, the
+deepest searches: ``conjecture --k 6 --n 240 --max-card 10`` in json (155
+exceeders, Klopsch-Lev cap 10) and ``conjecture --k 7 --n 420 --max-card
+12`` in csv (354 exceeders, cap 12).
 A legitimate output change must be made in golden.json in the same change,
 run by run.
 """

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from znbases import enumerate_bases, order, spectrum, verify_conjecture
+from znbases import enumerate_bases, order, spectrum, trajectory, verify_conjecture
 from znbases.bounds import kl_bound
 from znbases.core import ZnSet, canonical_sort_key, divisors, is_basis
 from znbases.spectrum import check_kl_bound
@@ -267,83 +267,102 @@ def test_capped_search_agrees_with_capped_enumeration_above_n_18():
     assert rooted_above_1 > 0
 
 
-def test_capped_search_agrees_with_capped_enumeration_at_depth_6_and_8(monkeypatch):
-    # Deep enough for the quotient and sub-basis bounds to drop subtrees;
-    # the wrappers below check that both do, so the agreement covers them.
+def record_search_kernels(monkeypatch):
+    """Wrap the order kernels the pruned search calls through znbases.spectrum
+    and return the lists they append to: "quotient" (n, d, members, order)
+    per _quotient_order, "triple" (m, a, b, order) per _triple_order,
+    "levels" (m, mask, z) per _levels, the levels of the set with that mask
+    grown from those of the set without z, and "order" (modulus, order) per
+    order()."""
     spectrum_module = importlib.import_module("znbases.spectrum")
-    fired = {"quotient": 0, "triple": 0}
+    calls = {"quotient": [], "triple": [], "levels": [], "order": []}
+    quotient_order, triple_order = spectrum_module._quotient_order, spectrum_module._triple_order
+    levels, plain_order = spectrum_module._levels, spectrum_module.order
+
+    def recording_quotient_order(n, d, members):
+        rho = quotient_order(n, d, members)
+        calls["quotient"].append((n, d, members, rho))
+        return rho
+
+    def recording_triple_order(m, a, b):
+        rho = triple_order(m, a, b)
+        calls["triple"].append((m, a, b, rho))
+        return rho
+
+    def recording_levels(m, mask, z, above):
+        calls["levels"].append((m, mask, z))
+        return levels(m, mask, z, above)
 
     def recording_order(a):
-        rho = order(a)
-        d = n // a.modulus
-        fired["quotient"] += d > 1 and (rho + d - 1) * k <= n
+        rho = plain_order(a)
+        calls["order"].append((a.modulus, rho))
         return rho
 
-    def recording_triple_order(m, x, y):
-        rho = triple_order(m, x, y)
-        fired["triple"] += rho * k <= n
-        return rho
-
-    triple_order = spectrum_module._triple_order
-    monkeypatch.setattr(spectrum_module, "order", recording_order)
+    monkeypatch.setattr(spectrum_module, "_quotient_order", recording_quotient_order)
     monkeypatch.setattr(spectrum_module, "_triple_order", recording_triple_order)
+    monkeypatch.setattr(spectrum_module, "_levels", recording_levels)
+    monkeypatch.setattr(spectrum_module, "order", recording_order)
+    return calls
+
+
+def test_capped_search_agrees_with_capped_enumeration_at_depth_6_and_8(monkeypatch):
+    # Deep enough for the quotient and sub-basis bounds to drop subtrees;
+    # the recorded kernel calls show that both do, so the agreement covers
+    # them.  The quotient bound reads every quotient order through
+    # _quotient_order; a triple bound fires when a basis triple in Z_n has
+    # order <= n/k, whether {0, g, w} under the root {0, g} or a translate
+    # {0, y - x, w - x} in the sub-basis check.
+    calls = record_search_kernels(monkeypatch)
     for n, k, cap in ((24, 4, 6), (30, 4, 6), (36, 4, 6), (24, 5, 8)):
         expected = {}
         for a in rooted_canonical_bases(n, cap):
             rho = order(a)
             if rho * k > n:
                 expected[a.mask] = rho
-        fired.update(quotient=0, triple=0)
+        for log in calls.values():
+            log.clear()
         report = verify_conjecture(n, k, max_card=cap, use_kl_cap=False)
         assert {e.witness.mask: e.order for e in report.exceeders} == expected, (n, k)
-        assert fired["quotient"] > 0, (n, k)
+        assert any((r + d - 1) * k <= n for _, d, _, r in calls["quotient"]), (n, k)
         if n == 36:
-            assert fired["triple"] > 0
+            fired = [(a, b) for m, a, b, r in calls["triple"] if m == n and r * k <= n]
+            # a first step that does not divide n is no root's: the sub-basis check
+            assert any(n % a for a, _ in fired)
 
 
 def test_capped_enumeration_skips_the_order_bounds(monkeypatch):
     # At floor 0 neither bound can drop a set: the quotient bound is at
     # least d > 0, and a triple's order is at least 1.  So enumerate_bases
-    # with a cap calls order() only on bases of Z_n and never _triple_order,
-    # and a capped spectrum makes no order() call beyond the search's own.
-    spectrum_module = importlib.import_module("znbases.spectrum")
-    moduli, triples = [], []
-
-    def recording_order(a):
-        moduli.append(a.modulus)
-        return order(a)
-
-    def recording_triple_order(*args):
-        triples.append(args)
-        return triple_order(*args)
-
-    triple_order = spectrum_module._triple_order
-    monkeypatch.setattr(spectrum_module, "order", recording_order)
-    monkeypatch.setattr(spectrum_module, "_triple_order", recording_triple_order)
-    for n, cap in ((24, 6), (36, 5)):
-        moduli.clear()
+    # with a cap computes no quotient order and calls order() never; its
+    # triple orders are exactly those of the roots' triples {0, g, w} that
+    # are bases and pass the canonicity test against 0 and g, and a capped
+    # spectrum makes no kernel call beyond the search's own.
+    calls = record_search_kernels(monkeypatch)
+    for n, cap in ((24, 6), (36, 5), (30, 6)):
+        for log in calls.values():
+            log.clear()
         reps = list(enumerate_bases(n, max_card=cap))
-        assert set(moduli) == {n} and len(moduli) >= len(reps), (n, cap)
-        assert triples == [], (n, cap)
-        calls = len(moduli)
-        moduli.clear()
+        assert calls["quotient"] == [] and calls["order"] == [], (n, cap)
+        assert sorted((m, a, b) for m, a, b, _ in calls["triple"]) == [
+            (n, g, w) for g in divisors(n)[:-1] for w in range(g + 1, n)
+            if math.gcd(n, g, w) == 1 and math.gcd(w, n) >= g and math.gcd(w - g, n) >= g
+        ], (n, cap)
+        tested = [mask for _, mask, _ in calls["levels"]
+                  if bin(mask).count("1") >= 4 and is_basis(ZnSet(n, mask))]
+        assert len(tested) >= sum(len(rep) >= 4 for rep in reps), (n, cap)
+        made = {log: len(calls[log]) for log in calls}
         spectrum(n, max_card=cap)
-        assert len(moduli) == calls, (n, cap)
+        assert {log: len(calls[log]) for log in calls} == {
+            log: 2 * count for log, count in made.items()}, (n, cap)
 
 
 def test_capped_search_computes_each_triple_order_once(monkeypatch):
-    # The sub-basis check meets the same 0-translate {0, a, b} in many sets;
-    # one memo per search computes each order once.
-    spectrum_module = importlib.import_module("znbases.spectrum")
-    keys = []
-
-    def counting_triple_order(m, a, b):
-        keys.append((m, min(a, b), max(a, b)))
-        return triple_order(m, a, b)
-
-    triple_order = spectrum_module._triple_order
-    monkeypatch.setattr(spectrum_module, "_triple_order", counting_triple_order)
+    # The roots' triples {0, g, w} and the sub-basis check meet the same
+    # 0-translate {0, a, b} in many sets; one memo per search computes each
+    # order once.
+    calls = record_search_kernels(monkeypatch)
     verify_conjecture(60, 5, max_card=8)
+    keys = [(m, a, b) for m, a, b, _ in calls["triple"]]
     assert len(keys) > 100
     assert len(keys) == len(set(keys))
 
@@ -416,28 +435,105 @@ def test_order_equals_naive_for_enumerated_reps():
 
 
 def test_capped_search_calls_order_only_on_bases(monkeypatch):
-    spectrum_module = importlib.import_module("znbases.spectrum")
-    results = []
-    moduli = []
+    # Carrying gcd(n, members) down the tree keeps order work off
+    # non-bases of Z_n: every triple order computed in Z_n is finite, and
+    # levels are grown only in the order test of a basis, once per basis of
+    # four or more members.  A set in a
+    # proper subgroup dZ_n has its levels grown only on the way to those of
+    # a basis grown from it, which needs them, so the next basis whose
+    # levels are grown holds it.  Quotient orders are computed only for
+    # sets inside proper subgroups, in Z_{n/d}, and all are finite.
+    calls = record_search_kernels(monkeypatch)
+    for n, k, cap in ((60, 3, 6), (30, 5, 6), (60, 8, 6)):
+        for log in calls.values():
+            log.clear()
+        report = verify_conjecture(n, k, max_card=cap)
+        assert report.exceeders
+        assert all(r is not None for *_, r in calls["triple"])
+        assert all(m <= n // 2 and r is not None for m, r in calls["order"])
+        for m, d, members, r in calls["quotient"]:
+            assert d == math.gcd(n, *members) > 1 and m == n and r is not None
+        grown = [(mask, is_basis(ZnSet(n, mask))) for _, mask, _ in calls["levels"]]
+        # a basis that ran the test keeps its levels for its children
+        tested = [mask for mask, basis in grown if basis and bin(mask).count("1") >= 4]
+        assert len(tested) == len(set(tested)), (n, k)
+        for i, (mask, basis) in enumerate(grown):
+            if not basis:
+                holder = next(m for m, b in grown[i + 1:] if b)
+                assert holder & mask == mask != holder, (n, k, bin(mask))
+        if n == 30:
+            assert not all(basis for _, basis in grown)
+        if (n, k) == (60, 3):
+            # No order() call at all: the order tests are 22 level runs on
+            # bases of Z_60 of four or more members and closed-form pairs
+            # and triples, and the quotient bound runs on 56 sets, all
+            # pairs and triples.
+            assert calls["order"] == []
+            assert sum(basis and bin(mask).count("1") >= 4 for mask, basis in grown) == 22
+            assert sum(m == 60 for m, *_ in calls["triple"]) == 118
+            assert len(calls["quotient"]) == 56
 
-    def recording_order(a):
-        rho = order(a)
-        results.append(rho)
-        moduli.append(a.modulus)
-        return rho
 
-    monkeypatch.setattr(spectrum_module, "order", recording_order)
-    report = verify_conjecture(60, 3, max_card=6)
-    assert report.exceeders
-    assert None not in results
-    # Carrying gcd(n, members) down the tree keeps order() off non-bases,
-    # rooting each set at its canonical second member visits it once, sets
-    # with a pair gcd below that member are dropped unvisited, and children
-    # holding a basis triple of order <= n/k are dropped before order()
-    # runs.  A set in a proper subgroup dZ_60 with room to grow gets one
-    # order() call in Z_{60/d}, for the quotient bound.
-    # The roots {0, g} with 1 < g <= n/k get that call too: 9 of them here,
-    # and the bound drops the subtrees of 6, so the quotients get 56 calls,
-    # not the 89 of the search that rooted at the triples {0, g, y}.
-    assert moduli.count(60) == 89
-    assert len(moduli) - moduli.count(60) == 56
+@st.composite
+def parents_and_children(draw):
+    """(n, A, z): A holds 0, and in half the draws lies in a proper subgroup
+    dZ_n; z is a residue outside A."""
+    n = draw(st.integers(2, 64))
+    d = draw(st.sampled_from(divisors(n)[:-1])) if draw(st.booleans()) else 1
+    a = {0} | {d * s % n for s in draw(st.sets(st.integers(1, n), max_size=6))}
+    z = draw(st.integers(1, n - 1).filter(lambda z: z not in a)) if len(a) < n else None
+    assume(z is not None)
+    return n, tuple(sorted(a)), z
+
+
+@settings(max_examples=300, deadline=None)
+@given(parents_and_children())
+@example((24, (0, 4, 8), 3))  # a parent in 4Z_24, a child that is a basis
+@example((24, (0, 6, 12), 4))  # a parent in 6Z_24, a child still in 2Z_24
+@example((30, (0, 1), 2))  # a triple grown from a pair
+@example((30, (0,), 6))  # a pair grown from {0}, in a proper subgroup
+def test_levels_grown_from_the_parent_match_the_trajectory(case):
+    # h(A | {z}) = hA | ((h - 1)(A | {z}) + z) when A holds 0: the search's
+    # levels grown from a parent's, and a pair's from {0}'s, against the
+    # levels trajectory() builds on its own.  Past the last one it
+    # records, a set's levels stay the same.  A basis keeps its levels up
+    # to the full one, which is enough for every set grown from it.
+    from znbases.spectrum import _levels
+
+    def above(t):  # the masks of 2A, 3A, ... without end
+        return itertools.chain((lv.mask for lv in t.levels[1:]),
+                               itertools.repeat(t.levels[-1].mask))
+
+    n, a, z = case
+    child = ZnSet.from_members(n, (*a, z))
+    expected = list(itertools.islice(above(trajectory(child)), n))
+    parent = trajectory(ZnSet.from_members(n, a))
+    assert list(itertools.islice(_levels(n, child.mask, z, above(parent)), n)) == expected
+    if parent.order:
+        kept = [lv.mask for lv in parent.levels[1:]]
+        assert list(_levels(n, child.mask, z, iter(kept))) == expected[:len(kept)]
+    if len(a) == 1:
+        pair = _levels(n, child.mask, z, itertools.repeat(1))
+        assert list(itertools.islice(pair, n)) == expected
+
+
+def test_quotient_orders_of_pairs_and_triples_match_the_oracle():
+    # The quotient bound's closed forms: {0, x} in dZ_n has the quotient
+    # {0, x/d}, of order n/d - 1, and a triple's quotient order is
+    # _triple_order in Z_{n/d}.  Every pair and triple holding 0 in a
+    # proper subgroup, n <= 60, against naive_order of the quotient set.
+    from znbases.spectrum import _quotient_order
+
+    checked = {}
+    for n in range(2, 61):
+        for members in itertools.chain(
+            ((0, x) for x in range(1, n)),
+            ((0, x, y) for x, y in itertools.combinations(range(1, n), 2)),
+        ):
+            d = math.gcd(n, *members)
+            if d > 1:
+                quotient = (n // d, tuple(x // d for x in members))
+                if quotient not in checked:
+                    checked[quotient] = naive_order(*quotient)
+                assert _quotient_order(n, d, members) == checked[quotient], (n, members)
+    assert len(checked) > 1000
