@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .core import ZnSet, divisors, nlr, record
-from .sumsets import order
+from .sumsets import _triple_order, order
 
 
 @record
@@ -315,7 +315,7 @@ def lower_bound_family(k: int, n_range: tuple[int, int]) -> list[FamilyRecord]:
     form_b = form_a - k
     first = max(lo, k + 1)
     for n in range(first + (k - 1 - first) % k, hi + 1, k):
-        rho = order(ZnSet.from_members(n, {0, 1, k}))
+        rho = _triple_order(n, 1, k)  # 0 < 1 < k < n: the diagram's closed form
         if rho is None:  # {0, 1, k} always generates
             raise RuntimeError(f"{{0,1,{k}}} has infinite order in Z_{n}")
         nearest_l, min_gap = min_gap_to_fractions(rho, n, k)

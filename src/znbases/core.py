@@ -155,8 +155,6 @@ class ZnSet:
         """Translate the set: {a + shift mod n}."""
         n = self.modulus
         s = shift % n
-        if s == 0:
-            return self
         full = (1 << n) - 1
         return ZnSet(n, (self.mask << s | self.mask >> (n - s)) & full)
 
@@ -198,14 +196,8 @@ def is_basis(a: ZnSet) -> bool:
     """
     if not a:
         return False
-    it = iter(a)
-    a0 = next(it)
-    g = a.modulus
-    for m in it:
-        g = math.gcd(g, m - a0)
-        if g == 1:
-            return True
-    return g == 1
+    a0, *rest = a
+    return math.gcd(a.modulus, *(m - a0 for m in rest)) == 1
 
 
 # -- serialization ------------------------------------------------------------

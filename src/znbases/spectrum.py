@@ -17,10 +17,8 @@ from typing import Iterator
 
 from .affine import is_canonical, units
 from .bounds import KlBoundBreakdown, kl_bound, min_gap_to_fractions
-from .core import (
-    _LANE_FORMATS, _MEMBER_FLAGS, ZnSet, divisors, is_basis, record,
-)
-from .sumsets import _triple_order, order
+from .core import _LANE_FORMATS, _MEMBER_FLAGS, ZnSet, divisors, record
+from .sumsets import _mask_order, _triple_order
 
 DEFAULT_EXHAUSTIVE_LIMIT = 20
 DEFAULT_CARD_CAP = 6
@@ -80,8 +78,9 @@ class ConjectureReport:
     argmax_witness: ZnSet | None
 
 
-def _exhaustive_bases(n: int, state: bytearray) -> Iterator[ZnSet]:
-    """Orderly generation of the canonical basis representatives.
+def _exhaustive_bases(n: int, state: bytearray) -> Iterator[tuple[ZnSet, list[int]]]:
+    """Orderly generation of the canonical basis representatives, each with
+    its members in increasing order.
 
     state holds one zero byte per mask holding 0, indexed by the mask
     reversed: residue x >= 1 at bit n-1-x, and residue 0, which every such
@@ -95,8 +94,10 @@ def _exhaustive_bases(n: int, state: bytearray) -> Iterator[ZnSet]:
     index of u_j*(A - a) in lane j*n + a.  A lane is a sum of distinct
     powers of two below 2^(n-1), so lanes never carry into each other.
     Being a basis is an orbit invariant, so a non-basis mask is skipped
-    unmarked.  Each representative is yielded once its orbit is marked, so
-    they come in the canonical order (ascending canonical_sort_key).
+    unmarked; as 0 is a member, a mask is a basis exactly when the gcd of n
+    and its members is 1.  Each representative is yielded once its orbit is
+    marked, so they come in the canonical order (ascending
+    canonical_sort_key).
     """
     unit_list = units(n)
     phi = len(unit_list)
@@ -124,17 +125,17 @@ def _exhaustive_bases(n: int, state: bytearray) -> Iterator[ZnSet]:
     spec = f"0{n - 1}b"
     while (index := state.rfind(0, 0, index)) >= 0:
         residues = format(index, spec)  # residues[x - 1] == "1": x in A
-        rep = ZnSet(n, int(residues[::-1] + "1", 2))
-        if not is_basis(rep):
-            continue
         flags = ("1" + residues).encode().translate(_MEMBER_FLAGS)  # flags[x]: x in A
+        members = list(itertools.compress(range(n), flags))
+        if math.gcd(n, *members) > 1:
+            continue
         images = memoryview(
             sum(itertools.compress(lanes, flags)).to_bytes(size, sys.byteorder)
         ).cast(fmt)
         # flags * phi selects lane j*n + a exactly when a is a member
         for image in itertools.compress(images, flags * phi):
             state[image] = 1
-        yield rep
+        yield ZnSet(n, int(residues[::-1] + "1", 2)), members
 
 
 def enumerate_bases(
@@ -156,12 +157,16 @@ def enumerate_bases(
     _check_args(n, max_card, limit)
     if max_card is not None:
         return (rep for rep, _ in _canonical_bases(n, 0, max_card))
+    return (rep for rep, _ in _exhaustive_bases(n, _walk_state(n)))
+
+
+def _walk_state(n: int) -> bytearray:
+    """The state of _exhaustive_bases for Z_n, allocated now."""
     try:
-        state = bytearray(1 << (n - 1))
+        return bytearray(1 << (n - 1))
     except (OverflowError, MemoryError):  # OverflowError: more than sys.maxsize
         raise ValueError(f"exhaustive enumeration of Z_{n} needs a state of "
                          f"2^{n - 1} bytes, more than can be allocated here") from None
-    return _exhaustive_bases(n, state)
 
 
 def _check_args(n: int, max_card: int | None, limit: int | None = None) -> None:
@@ -197,9 +202,10 @@ def _bases_above(
     """
     if max_card is not None:
         return _canonical_bases(n, floor, max_card)
+    _check_args(n, None, limit)
     found = []
-    for rep in enumerate_bases(n, None, limit):
-        rho = order(rep)
+    for rep, members in _exhaustive_bases(n, _walk_state(n)):
+        rho = _mask_order(n, rep.mask, members[1:])
         if rho is None:
             raise RuntimeError(f"enumerated basis {rep!r} has infinite order")
         if rho > floor:
@@ -289,7 +295,7 @@ def check_kl_bound(
 # search carries that gcd down the tree and computes an order only when it
 # is 1.
 #
-# The orders.  The search computes each order in Z_n without a ZnSet.
+# The orders.  The search computes every order without a ZnSet.
 # The root {0, 1} has order n - 1, and a triple {0, g, z} the closed form
 # _triple_order(n, g, z) of the minimum-distance diagram.  A set of four or
 # more members grows its levels from its parent's: if A holds 0, then
@@ -312,8 +318,9 @@ def check_kl_bound(
 # kept: the search drops A's subtree.  The bound is at least d, so it is
 # only computed when d <= floor.  r costs nothing on a root {0, g}, whose
 # quotient {0, 1} has order n/g - 1, so the root is dropped when
-# n/g + g - 2 <= floor, and one _triple_order on a triple; only a quotient
-# of four or more members calls order().
+# n/g + g - 2 <= floor, and one _triple_order on a triple; a quotient of
+# four or more members runs the level loop of sumsets._mask_order on the
+# members over d.
 #
 # The sub-basis bound.  If T is a basis inside A, then hT lies in hA, so
 # order(A) <= order(T), and the same holds for every set grown from A.  A
@@ -331,7 +338,11 @@ def check_kl_bound(
 # first, when the root lists the members w that may follow g: w is left
 # out when {0, g, w} caps, so no set holding it is visited, and the check
 # skips that pair.  At (480, 8) nine in ten of the children the check
-# dropped were dropped by that pair.
+# dropped were dropped by that pair.  The map x -> g - x carries {0, g, w}
+# onto {0, g, n + g - w}, an affine image of the same order, with w - g and
+# w in the places of w and w - g in the canonicity tests against 0 and g,
+# and the same gcd(n, g, w): so the listing stores each triple order it
+# computes under both keys, and computes about half of them.
 #
 # The canonicity test.  By the lemma on the canonical second member, the
 # orbit minimum of a set A of two or more members holds 0 and g, its least
@@ -364,7 +375,8 @@ def _quotient_order(n: int, d: int, members: tuple[int, ...]) -> int:
         return n // d - 1
     if len(members) == 3:
         return _triple_order(n // d, members[1] // d, members[2] // d)
-    return order(ZnSet.from_members(n // d, (x // d for x in members)))
+    shifts = [x // d for x in members[1:]]
+    return _mask_order(n // d, sum(1 << x for x in shifts) | 1, shifts)
 
 
 def _canonical_bases(n: int, floor: int, cap: int) -> list[tuple[ZnSet, int]]:
@@ -466,7 +478,10 @@ def _canonical_bases(n: int, floor: int, cap: int) -> list[tuple[ZnSet, int]]:
                 if math.gcd(n, g, w) == 1:
                     rho = triples.get(g * n + w, 0)
                     if rho == 0:
-                        rho = triples[g * n + w] = _triple_order(n, g, w)
+                        # x -> g - x carries {0, g, w} onto {0, g, n + g - w},
+                        # which the three tests here treat alike
+                        rho = triples[g * n + w] = triples[g * n + n + g - w] = (
+                            _triple_order(n, g, w))
                     if rho <= floor:
                         continue  # {0, g, w} caps itself and every set that holds it
                 ws.append(w)

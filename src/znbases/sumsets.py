@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 from .core import ZnSet, record
 
@@ -58,9 +59,19 @@ def order(a: ZnSet) -> int | None:
     if len(base) == 3:
         _, x, y = base
         return _triple_order(n, x, y)
+    return _mask_order(n, base.mask, base.members[1:])
+
+
+def _mask_order(n: int, mask: int, shifts: Sequence[int]) -> int | None:
+    """The order in Z_n of the set with the given mask, which holds 0 and
+    whose other members are shifts, or None when it is not a basis.
+
+    As 0 is a member the levels hA are nested, so the order is the number of
+    levels up to the full one, and two equal consecutive levels short of it
+    show that the set is not a basis.
+    """
     full = (1 << n) - 1
-    shifts = [m for m in base if m != 0]
-    cur = base.mask
+    cur = mask
     h = 1
     while True:
         if cur == full:

@@ -16,7 +16,7 @@ from znbases import (
 )
 from znbases.bounds import int_sumset_sizes, min_gap_to_fractions
 
-from oracles import naive_min_gap, naive_order
+from oracles import bfs_triple_order, naive_min_gap, naive_order
 
 
 def test_kl_bound_spec_examples():
@@ -200,10 +200,17 @@ def test_family_refuses_moduli_below_one(lo):
         lower_bound_family(3, (lo, 8))
 
 
-def test_family_orders_match_naive_oracle():
-    for k in (3, 4):
-        for rec in lower_bound_family(k, (5 * k + 1, 60)):
-            assert rec.rho == naive_order(rec.n, {0, 1, k}), rec
+def test_family_orders_match_the_oracles():
+    # rho is the closed form of {0, 1, k}'s diagram, from the first family
+    # modulus on: against breadth-first distances, and the plain-set levels
+    # up to n = 60.
+    for k in range(2, 8):
+        recs = lower_bound_family(k, (k + 1, 400))
+        assert recs[0].n == 2 * k - 1, k
+        for rec in recs:
+            assert rec.rho == bfs_triple_order(rec.n, 1, k), rec
+            if rec.n <= 60:
+                assert rec.rho == naive_order(rec.n, {0, 1, k}), rec
 
 
 def test_min_gap_agrees_with_the_fraction_oracle():

@@ -273,11 +273,11 @@ def record_search_kernels(monkeypatch):
     per _quotient_order, "triple" (m, a, b, order) per _triple_order,
     "levels" (m, mask, z) per _levels, the levels of the set with that mask
     grown from those of the set without z, and "order" (modulus, order) per
-    order()."""
+    run of the level loop, sumsets._mask_order."""
     spectrum_module = importlib.import_module("znbases.spectrum")
     calls = {"quotient": [], "triple": [], "levels": [], "order": []}
     quotient_order, triple_order = spectrum_module._quotient_order, spectrum_module._triple_order
-    levels, plain_order = spectrum_module._levels, spectrum_module.order
+    levels, mask_order = spectrum_module._levels, spectrum_module._mask_order
 
     def recording_quotient_order(n, d, members):
         rho = quotient_order(n, d, members)
@@ -293,15 +293,15 @@ def record_search_kernels(monkeypatch):
         calls["levels"].append((m, mask, z))
         return levels(m, mask, z, above)
 
-    def recording_order(a):
-        rho = plain_order(a)
-        calls["order"].append((a.modulus, rho))
+    def recording_order(m, mask, shifts):
+        rho = mask_order(m, mask, shifts)
+        calls["order"].append((m, rho))
         return rho
 
     monkeypatch.setattr(spectrum_module, "_quotient_order", recording_quotient_order)
     monkeypatch.setattr(spectrum_module, "_triple_order", recording_triple_order)
     monkeypatch.setattr(spectrum_module, "_levels", recording_levels)
-    monkeypatch.setattr(spectrum_module, "order", recording_order)
+    monkeypatch.setattr(spectrum_module, "_mask_order", recording_order)
     return calls
 
 
@@ -333,10 +333,11 @@ def test_capped_search_agrees_with_capped_enumeration_at_depth_6_and_8(monkeypat
 def test_capped_enumeration_skips_the_order_bounds(monkeypatch):
     # At floor 0 neither bound can drop a set: the quotient bound is at
     # least d > 0, and a triple's order is at least 1.  So enumerate_bases
-    # with a cap computes no quotient order and calls order() never; its
-    # triple orders are exactly those of the roots' triples {0, g, w} that
-    # are bases and pass the canonicity test against 0 and g, and a capped
-    # spectrum makes no kernel call beyond the search's own.
+    # with a cap computes no quotient order and runs the level loop never;
+    # its triple orders are exactly those of the roots' triples {0, g, w}
+    # that are bases and pass the canonicity test against 0 and g, each
+    # mirror pair {0, g, w}, {0, g, n + g - w} computed once, at the lower
+    # w, and a capped spectrum makes no kernel call beyond the search's own.
     calls = record_search_kernels(monkeypatch)
     for n, cap in ((24, 6), (36, 5), (30, 6)):
         for log in calls.values():
@@ -346,6 +347,7 @@ def test_capped_enumeration_skips_the_order_bounds(monkeypatch):
         assert sorted((m, a, b) for m, a, b, _ in calls["triple"]) == [
             (n, g, w) for g in divisors(n)[:-1] for w in range(g + 1, n)
             if math.gcd(n, g, w) == 1 and math.gcd(w, n) >= g and math.gcd(w - g, n) >= g
+            and 2 * w <= n + g
         ], (n, cap)
         tested = [mask for _, mask, _ in calls["levels"]
                   if bin(mask).count("1") >= 4 and is_basis(ZnSet(n, mask))]
@@ -354,6 +356,30 @@ def test_capped_enumeration_skips_the_order_bounds(monkeypatch):
         spectrum(n, max_card=cap)
         assert {log: len(calls[log]) for log in calls} == {
             log: 2 * count for log, count in made.items()}, (n, cap)
+
+
+def test_root_listing_computes_one_order_per_mirror_pair(monkeypatch):
+    # x -> g - x carries {0, g, w} onto {0, g, n + g - w}, and a root's
+    # listing stores the order it computes under both keys, so it never
+    # computes both.  The listing calls _triple_order from _canonical_bases
+    # itself, the sub-basis check from the nested extend.
+    import sys
+
+    spectrum_module = importlib.import_module("znbases.spectrum")
+    triple_order = spectrum_module._triple_order
+    listed = []
+
+    def recording_triple_order(m, a, b):
+        if sys._getframe(1).f_code.co_name == "_canonical_bases":
+            listed.append((a, b))
+        return triple_order(m, a, b)
+
+    monkeypatch.setattr(spectrum_module, "_triple_order", recording_triple_order)
+    n = 60
+    verify_conjecture(n, 5, max_card=8)
+    assert len(listed) > 20
+    assert not {(g, w) for g, w in listed if 2 * w != n + g} & {
+        (g, n + g - w) for g, w in listed}
 
 
 def test_capped_search_computes_each_triple_order_once(monkeypatch):
@@ -429,9 +455,16 @@ def test_conjecture_n1_edge():
 
 
 def test_order_equals_naive_for_enumerated_reps():
-    for n in range(2, 12):
-        for rep in enumerate_bases(n):
-            assert order(rep) == naive_order(n, rep.members)
+    # The orderly walk's (representative, order) pairs, whose orders come
+    # from the members it decoded, and order() on each representative,
+    # against the plain-set levels.
+    from znbases.spectrum import _bases_above
+
+    for n in range(1, 17):
+        pairs = _bases_above(n, 0, None, 16)
+        assert [rep for rep, _ in pairs] == list(enumerate_bases(n)), n
+        for rep, rho in pairs:
+            assert rho == order(rep) == naive_order(n, rep.members), rep
 
 
 def test_capped_search_calls_order_only_on_bases(monkeypatch):
@@ -464,13 +497,13 @@ def test_capped_search_calls_order_only_on_bases(monkeypatch):
         if n == 30:
             assert not all(basis for _, basis in grown)
         if (n, k) == (60, 3):
-            # No order() call at all: the order tests are 22 level runs on
-            # bases of Z_60 of four or more members and closed-form pairs
-            # and triples, and the quotient bound runs on 56 sets, all
+            # No run of the level loop at all: the order tests are 22 level
+            # runs on bases of Z_60 of four or more members and closed-form
+            # pairs and triples, and the quotient bound runs on 56 sets, all
             # pairs and triples.
             assert calls["order"] == []
             assert sum(basis and bin(mask).count("1") >= 4 for mask, basis in grown) == 22
-            assert sum(m == 60 for m, *_ in calls["triple"]) == 118
+            assert sum(m == 60 for m, *_ in calls["triple"]) == 85
             assert len(calls["quotient"]) == 56
 
 
@@ -515,6 +548,33 @@ def test_levels_grown_from_the_parent_match_the_trajectory(case):
     if len(a) == 1:
         pair = _levels(n, child.mask, z, itertools.repeat(1))
         assert list(itertools.islice(pair, n)) == expected
+
+
+@st.composite
+def quotient_sets(draw):
+    """(n, d, members) with n <= 60: members holds 0 and three or more
+    multiples of d in increasing order, and gcd(n, members) is the proper
+    divisor d > 1."""
+    n = draw(st.sampled_from([n for n in range(8, 61) if len(divisors(n)) > 2]))
+    d = draw(st.sampled_from([d for d in divisors(n)[1:-1] if n // d >= 4] or [None]))
+    assume(d is not None)
+    steps = draw(st.sets(st.integers(1, n // d - 1), min_size=3, max_size=8))
+    assume(math.gcd(n // d, *steps) == 1)
+    return n, d, (0, *sorted(d * s for s in steps))
+
+
+@settings(max_examples=300, deadline=None)
+@given(quotient_sets())
+@example((60, 2, (0, 2, 4, 6)))  # the quotient {0, 1, 2, 3} in Z_30
+@example((24, 6, (0, 6, 12, 18)))  # the whole quotient group Z_4
+def test_quotient_orders_of_larger_sets_match_the_oracle(case):
+    # A quotient of four or more members runs the level loop on the
+    # members over d in Z_{n/d}: against naive_order of the quotient set.
+    from znbases.spectrum import _quotient_order
+
+    n, d, members = case
+    assert math.gcd(n, *members) == d
+    assert _quotient_order(n, d, members) == naive_order(n // d, {x // d for x in members})
 
 
 def test_quotient_orders_of_pairs_and_triples_match_the_oracle():
