@@ -304,7 +304,7 @@ def check_kl_bound(
 # A set keeps its levels, up to the full one, only when it ran this test
 # and has children to read them.  The levels of a triple, or of a set in a
 # proper subgroup, are grown again for each child that reaches the test,
-# from its own parent's (a triple's from those of {0, g} = {0} | {g}).
+# from its own parent's, and a root's from those of {0}, which are all {0}.
 # Kept, a triple's levels would hold r*n bits for a triple of order r:
 # (50000, 4) peaked at 261 MiB that way, against about 20 MiB.
 #
@@ -316,33 +316,40 @@ def check_kl_bound(
 # and (d - 1)B + rA, which lies in (d - 1 + r)B, is all of Z_n.  Hence
 # order(B) <= r + d - 1, and when r + d - 1 <= floor no set grown from A is
 # kept: the search drops A's subtree.  The bound is at least d, so it is
-# only computed when d <= floor.  r costs nothing on a root {0, g}, whose
-# quotient {0, 1} has order n/g - 1, so the root is dropped when
-# n/g + g - 2 <= floor, and one _triple_order on a triple; a quotient of
-# four or more members runs the level loop of sumsets._mask_order on the
-# members over d.
+# only computed when d <= floor.  A root {0, g} is dropped when
+# n/g + g - 2 <= floor: its quotient {0, 1} has order n/g - 1, and for
+# g = 1 that is the order of the basis {0, 1} itself.  A triple's quotient
+# order is one _triple_order in Z_{n/d}, a larger quotient's the level loop
+# of sumsets._mask_order on the members over d.
 #
 # The sub-basis bound.  If T is a basis inside A, then hT lies in hA, so
 # order(A) <= order(T), and the same holds for every set grown from A.  A
 # child of four or more members with a basis triple of order <= floor is
 # dropped before its levels are grown.  A basis triple without the new
 # member lies in the parent, whose order was above floor, so only triples
-# holding the new member are checked.  A triple T has |hT| <= C(h + 2, 2),
-# so its order is at least the least h with C(h + 2, 2) >= n; below that
-# floor the check cannot fire and is skipped.  A translate {0, y - x, z - x}
-# recurs in many sets, so one dict per search, dropped when the search
-# returns, keeps its order (None for a non-basis), keyed by (y - x)*n +
-# (z - x) with 0 < y - x < z - x: each triple order is computed once per
-# search.  The triples {0, g, w} of the pair (0, g), which every set under
-# the root {0, g} holds, are the root's own children, so their orders come
-# first, when the root lists the members w that may follow g: w is left
-# out when {0, g, w} caps, so no set holding it is visited, and the check
-# skips that pair.  At (480, 8) nine in ten of the children the check
-# dropped were dropped by that pair.  The map x -> g - x carries {0, g, w}
-# onto {0, g, n + g - w}, an affine image of the same order, with w - g and
-# w in the places of w and w - g in the canonicity tests against 0 and g,
-# and the same gcd(n, g, w): so the listing stores each triple order it
-# computes under both keys, and computes about half of them.
+# holding the new member are checked.  Every set under the root {0, g}
+# holds the triples {0, g, w}, the root's own children, so before any root
+# is searched each root lists the members w that may follow g, leaving w
+# out when {0, g, w} caps: no set holding it is visited, and the check
+# skips the pair (0, g), which at (480, 8) dropped nine in ten of the
+# children the check dropped.  The listings also tell whether the check can
+# fire.  A basis triple's canonical form {0, g, w}, g its least pair gcd,
+# passes the canonicity tests against 0 and g, so the listing of the root
+# g examines it, unless that root was dropped; then {0, g, g + 1} caps, as
+# it holds {0, g}, and so does its image {0, 1, g + 1} in the listing of
+# the root 1, which is dropped only with all the others (n/g + g <= n + 1).
+# So the check runs only once a listing has left out a capping w: at
+# (160, 8), where the least triple order is 21, it never does.
+#
+# The triple memo.  A translate {0, y - x, z - x} recurs in many sets, so
+# one dict per search keeps its order (None for a non-basis) under the key
+# (y - x)*n + (z - x), 0 < y - x < z - x.  The map x -> a - x carries
+# {0, a, b} onto {0, a, n + a - b}, of the same order and gcd(n, a, b), so
+# every write stores both keys, and each order is computed once per mirror
+# pair and search.  Under the root {0, g} the two pass the same canonicity
+# tests (w and w - g trade places), so the listings compute about half of
+# their triple orders; they store no non-basis triple, which would cost a
+# quarter more memory at (50000, 4).
 #
 # The canonicity test.  By the lemma on the canonical second member, the
 # orbit minimum of a set A of two or more members holds 0 and g, its least
@@ -371,8 +378,6 @@ def _levels(n: int, mask: int, z: int, above: Iterator[int]) -> Iterator[int]:
 def _quotient_order(n: int, d: int, members: tuple[int, ...]) -> int:
     """The order of members/d in Z_{n/d}, where members holds 0 and
     d = gcd(n, members), so that the quotient set is a basis."""
-    if len(members) == 2:  # {0, x/d} with x/d a unit mod n/d
-        return n // d - 1
     if len(members) == 3:
         return _triple_order(n // d, members[1] // d, members[2] // d)
     shifts = [x // d for x in members[1:]]
@@ -385,27 +390,30 @@ def _canonical_bases(n: int, floor: int, cap: int) -> list[tuple[ZnSet, int]]:
     if n == 1:
         return [(ZnSet(1, 1), 1)] if floor < 1 else []  # {0} is a basis of order 1
     full = (1 << n) - 1
-    check_triples = math.comb(floor + 2, 2) >= n  # else every triple order > floor
     found: list[tuple[ZnSet, int]] = []
     triples: dict[int, int | None] = {}  # the triple memo: a*n + b -> order of {0, a, b}
-    ws: list[int] = []  # under the current root {0, g}: the members that may follow g
 
-    def above(cell: tuple, members: tuple[int, ...]) -> Iterator[int]:
-        # the masks of 2A, 3A, ... for A = members (three or more): read off
-        # the levels it keeps, up to the full one, or grown from its
-        # parent's without end, a triple's from those of {0, g} = {0} | {g}
+    def triple(a: int, b: int) -> int | None:
+        # the order of {0, a, b}, stored under its key and its mirror's
+        rho = triples[a * n + b] = triples[a * n + n + a - b] = (
+            _triple_order(n, a, b) if math.gcd(n, a, b) == 1 else None)
+        return rho
+
+    def above(cell: tuple | None, members: tuple[int, ...]) -> Iterator[int]:
+        # the masks of 2A, 3A, ... for A = members, whose cell this is ({0}
+        # has none): read off the levels it keeps, up to the full one, or
+        # grown from its parent's without end
+        if cell is None:
+            return itertools.repeat(1)  # the levels of {0}
         levels, up, mask, _ = cell
         if levels:
             return itertools.islice(levels, 1, None)
-        g, z = members[1], members[-1]
-        return _levels(n, mask, z, above(up, members[:-1]) if up else
-                       _levels(n, 1 | 1 << g, g, itertools.repeat(1)))
+        return _levels(n, mask, members[-1], above(up, members[:-1]))
 
-    def extend(members: tuple[int, ...], mask: int, i: int, span: int, up: tuple | None) -> None:
+    def extend(members: tuple[int, ...], i: int, span: int, up: tuple) -> None:
         # visit members + (z,) for z = ws[i], above them all; members holds
-        # 0 and g, mask is its bit mask, span = gcd(n, members), and once it
-        # has three members up is its cell: (levels, parent cell, mask, pair
-        # offsets); a set holding 0 is a basis iff that gcd is 1
+        # 0 and g, span = gcd(n, members), 1 exactly when it is a basis, and
+        # up is its cell: (levels, parent cell, mask, pair offsets)
         z = ws[i]
         g = members[1]
         if g > 1 and any(math.gcd(z - x, n) < g for x in members[2:]):
@@ -415,23 +423,20 @@ def _canonical_bases(n: int, floor: int, cap: int) -> list[tuple[ZnSet, int]]:
         if 1 < span <= floor and size < cap:
             if _quotient_order(n, span, (*members, z)) + span - 1 <= floor:
                 return  # the quotient bound caps the set and every set grown from it
-        mask |= 1 << z
+        mask = up[2] | 1 << z
         kept = None
         levels: list[int] = []
         if span == 1:
             if size == 3:
                 rho = triples[g * n + z]
             else:
-                if check_triples:
-                    for key in up[3]:
-                        key += z
-                        t = triples.get(key, 0)  # 0: not computed yet
-                        if t == 0:
-                            a, b = divmod(key, n)
-                            t = triples[key] = (_triple_order(n, a, b)
-                                                if math.gcd(n, a, b) == 1 else None)
-                        if t is not None and t <= floor:
-                            return  # a basis triple caps the set and every set grown from it
+                for key in up[3]:
+                    key += z
+                    t = triples.get(key, 0)  # 0: not computed yet
+                    if t == 0:
+                        t = triple(*divmod(key, n))
+                    if t is not None and t <= floor:
+                        return  # a basis triple caps the set and every set grown from it
                 # the set is a basis, so its levels reach Z_n; a set with
                 # children keeps them, for the children's order tests
                 levels = [mask] if size < cap else []
@@ -457,36 +462,30 @@ def _canonical_bases(n: int, floor: int, cap: int) -> list[tuple[ZnSet, int]]:
             # no w for which {0, g, w} caps
             offsets = [(y - x) * n - x for x, y in
                        itertools.islice(itertools.combinations(members, 2), 1, None)
-                       ] if check_triples else None
+                       ] if check_triples else ()
             cell = (levels, up, mask, offsets)
             for j in range(i + 1, len(ws)):
-                extend(members, mask, j, span, cell)
+                extend(members, j, span, cell)
         if kept:
             found.append(kept)  # after its children: the post-order
 
+    roots = []  # (g, ws, cell) for each root {0, g} searched: ws the members that may follow g
+    check_triples = False  # whether a basis triple caps: else the sub-basis check cannot fire
     for g in divisors(n)[:-1] if cap >= 2 else ():
-        if g == 1:
-            if n - 1 <= floor:
-                continue  # {0, 1} has order n - 1, and no superset climbs above floor
-        elif g <= floor and cap > 2 and _quotient_order(n, g, (0, g)) + g - 1 <= floor:
+        if n // g + g - 2 <= floor:
             continue  # the quotient bound caps {0, g} and every set grown from it
-        if cap > 2:
-            ws = []
-            for w in range(g + 1, n):
-                if g > 1 and (math.gcd(w, n) < g or math.gcd(w - g, n) < g):
-                    continue  # never canonical, nor is any set grown from {0, g, w}
-                if math.gcd(n, g, w) == 1:
-                    rho = triples.get(g * n + w, 0)
-                    if rho == 0:
-                        # x -> g - x carries {0, g, w} onto {0, g, n + g - w},
-                        # which the three tests here treat alike
-                        rho = triples[g * n + w] = triples[g * n + n + g - w] = (
-                            _triple_order(n, g, w))
-                    if rho <= floor:
-                        continue  # {0, g, w} caps itself and every set that holds it
-                ws.append(w)
-            for i in range(len(ws)):
-                extend((0, g), 1 | 1 << g, i, g, None)
+        ws = []
+        for w in range(g + 1, n) if cap > 2 else ():
+            if g > 1 and (math.gcd(w, n) < g or math.gcd(w - g, n) < g):
+                continue  # never canonical, nor is any set grown from {0, g, w}
+            if math.gcd(n, g, w) == 1 and (triples.get(g * n + w) or triple(g, w)) <= floor:
+                check_triples = True
+                continue  # {0, g, w} caps itself and every set that holds it
+            ws.append(w)
+        roots.append((g, ws, ([], None, 1 | 1 << g, None)))
+    for g, ws, root in roots:
+        for i in range(len(ws)):
+            extend((0, g), i, g, root)
         if g == 1:
             found.append((ZnSet(n, 3), n - 1))  # {0, 1}, canonical, after its children
     return found

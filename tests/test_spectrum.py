@@ -358,28 +358,37 @@ def test_capped_enumeration_skips_the_order_bounds(monkeypatch):
             log: 2 * count for log, count in made.items()}, (n, cap)
 
 
-def test_root_listing_computes_one_order_per_mirror_pair(monkeypatch):
-    # x -> g - x carries {0, g, w} onto {0, g, n + g - w}, and a root's
-    # listing stores the order it computes under both keys, so it never
-    # computes both.  The listing calls _triple_order from _canonical_bases
-    # itself, the sub-basis check from the nested extend.
-    import sys
-
-    spectrum_module = importlib.import_module("znbases.spectrum")
-    triple_order = spectrum_module._triple_order
-    listed = []
-
-    def recording_triple_order(m, a, b):
-        if sys._getframe(1).f_code.co_name == "_canonical_bases":
-            listed.append((a, b))
-        return triple_order(m, a, b)
-
-    monkeypatch.setattr(spectrum_module, "_triple_order", recording_triple_order)
+def test_capped_search_computes_one_order_per_mirror_pair(monkeypatch):
+    # x -> a - x carries {0, a, b} onto {0, a, n + a - b}, an image of the
+    # same order, and the search stores every triple order it computes
+    # under both keys, so it never computes both: neither in a root's
+    # listing of its triples {0, g, w} nor in the sub-basis check.
+    calls = record_search_kernels(monkeypatch)
     n = 60
     verify_conjecture(n, 5, max_card=8)
-    assert len(listed) > 20
-    assert not {(g, w) for g, w in listed if 2 * w != n + g} & {
-        (g, n + g - w) for g, w in listed}
+    computed = {(a, b) for m, a, b, _ in calls["triple"] if m == n}
+    assert len(computed) > 100
+    assert any(n % a for a, _ in computed)  # the sub-basis check computed some
+    assert not {(a, b) for a, b in computed if 2 * b != n + a} & {
+        (a, n + a - b) for a, b in computed}
+
+
+def test_sub_basis_check_is_skipped_where_no_triple_caps(monkeypatch):
+    # At (160, 8) no triple of Z_160 has order <= 20, so no root's listing
+    # leaves a member out as capping, and the sub-basis check, which could
+    # not fire, reads no memo key: every triple order computed in Z_160 is
+    # a listing's, one per mirror pair {0, g, w}, {0, g, n + g - w}.
+    calls = record_search_kernels(monkeypatch)
+    n, k = 160, 8
+    report = verify_conjecture(n, k, max_card=10)
+    assert report.exceeders
+    assert min(r for m, _, _, r in calls["triple"] if m == n) * k > n
+    assert sorted((a, b) for m, a, b, _ in calls["triple"] if m == n) == [
+        (g, w) for g in divisors(n)[:-1] if n // g + g - 2 > n // k
+        for w in range(g + 1, n)
+        if math.gcd(n, g, w) == 1 and math.gcd(w, n) >= g and math.gcd(w - g, n) >= g
+        and 2 * w <= n + g
+    ]
 
 
 def test_capped_search_computes_each_triple_order_once(monkeypatch):
@@ -499,12 +508,12 @@ def test_capped_search_calls_order_only_on_bases(monkeypatch):
         if (n, k) == (60, 3):
             # No run of the level loop at all: the order tests are 22 level
             # runs on bases of Z_60 of four or more members and closed-form
-            # pairs and triples, and the quotient bound runs on 56 sets, all
-            # pairs and triples.
+            # pairs and triples, and the quotient bound runs on 47 sets, all
+            # triples (a root's bound needs no quotient order).
             assert calls["order"] == []
             assert sum(basis and bin(mask).count("1") >= 4 for mask, basis in grown) == 22
-            assert sum(m == 60 for m, *_ in calls["triple"]) == 85
-            assert len(calls["quotient"]) == 56
+            assert sum(m == 60 for m, *_ in calls["triple"]) == 77
+            assert len(calls["quotient"]) == 47
 
 
 @st.composite
