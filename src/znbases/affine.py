@@ -17,6 +17,20 @@ def units(n: int) -> tuple[int, ...]:
     return tuple(u for u in range(1, n + 1) if math.gcd(u, n) == 1) if n > 1 else (0,)
 
 
+def _totient(n: int) -> int:
+    """phi(n) = len(units(n)), from the prime factors of n by trial division."""
+    phi, p = n, 2
+    while p * p <= n:
+        if n % p == 0:
+            phi -= phi // p
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        phi -= phi // n
+    return phi
+
+
 def _anchored_images(members: tuple[int, ...], n: int, g: int):
     """Masks of the affine images of the set that send a pair (x, y) with
     gcd(y - x, n) = g to (0, g): translate x to 0, then scale by a unit u
@@ -103,4 +117,4 @@ def _orbit_size(a: ZnSet, canon: ZnSet) -> int:
     if len(a) == 1:
         return n
     images = _anchored_images(a.members, n, canon.members[1])
-    return n * len(units(n)) // sum(image == canon.mask for image in images)
+    return n * _totient(n) // sum(image == canon.mask for image in images)

@@ -9,9 +9,9 @@ for triples {0, a, b} with a | n, the pigeonhole machinery for triples
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterable
 
+from . import core
 from .core import ZnSet, divisors, nlr, record
 from .sumsets import _triple_order, order
 
@@ -215,7 +215,7 @@ class WitnessOrderBound:
     """
 
     witness: PigeonholeWitness
-    bound: Fraction | None
+    bound: core.Fraction | None
     actual: int
     holds: bool
 
@@ -228,7 +228,7 @@ def witness_order_bound(witness: PigeonholeWitness) -> WitnessOrderBound:
         raise RuntimeError(f"{{0,1,{t}}} has infinite order in Z_{n}")
     if witness.s == 0:
         return WitnessOrderBound(witness=witness, bound=None, actual=actual, holds=True)
-    bound = witness.s + Fraction(witness.c * n, witness.s)
+    bound = witness.s + core.Fraction(witness.c * n, witness.s)
     return WitnessOrderBound(
         witness=witness, bound=bound, actual=actual, holds=actual <= bound
     )
@@ -276,12 +276,12 @@ class FamilyRecord:
     n: int
     rho: int
     nearest_l: int
-    min_gap: Fraction
+    min_gap: core.Fraction
     matches_k_minus_2_form: bool
     matches_k_minus_3_form: bool
 
 
-def min_gap_to_fractions(rho: int, n: int, k: int) -> tuple[int, Fraction]:
+def min_gap_to_fractions(rho: int, n: int, k: int) -> tuple[int, core.Fraction]:
     """argmin l in [1, k] and min value of |rho - n/l|; smallest l on ties.
 
     The gaps |rho*l - n| / l are compared by integer cross-multiplication;
@@ -292,7 +292,7 @@ def min_gap_to_fractions(rho: int, n: int, k: int) -> tuple[int, Fraction]:
         gap = abs(rho * l - n)
         if gap * best_l < best * l:
             best_l, best = l, gap
-    return best_l, Fraction(best, best_l)
+    return best_l, core.Fraction(best, best_l)
 
 
 def lower_bound_family(k: int, n_range: tuple[int, int]) -> list[FamilyRecord]:

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import os
 import sys
-from fractions import Fraction
 
-from . import __version__
+from . import __version__, core
 from .affine import _orbit_size, canonical_form
 from .bounds import (
     fl_growth_check,
@@ -130,9 +129,9 @@ def _parse_range(text: str) -> tuple[int, int]:
     return a, b
 
 
-def _parse_sigma(text: str) -> Fraction:
+def _parse_sigma(text: str) -> core.Fraction:
     try:
-        return Fraction(text)
+        return core.Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"sigma must be an exact rational, got {text!r}") from exc
 
@@ -368,7 +367,7 @@ def conjecture_cmd(k, n, n_range, max_card, limit, shards, no_kl_cap, fmt) -> No
                           r.completeness_caveat)])],
               lines)
         return
-    running = Fraction(0)
+    running = core.Fraction(0)
     rows = []
     for rep in reports:
         running = max(running, rep.max_min_gap)

@@ -12,9 +12,9 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from fractions import Fraction
 from typing import Iterator
 
+from . import core
 from .affine import is_canonical, units
 from .bounds import KlBoundBreakdown, kl_bound, min_gap_to_fractions
 from .core import _LANE_FORMATS, _MEMBER_FLAGS, ZnSet, divisors, record
@@ -53,7 +53,7 @@ class Exceeder:
     witness: ZnSet
     order: int
     nearest_l: int
-    min_gap: Fraction
+    min_gap: core.Fraction
 
 
 @record
@@ -74,7 +74,7 @@ class ConjectureReport:
     kl_cap: int | None
     completeness_caveat: bool
     exceeders: tuple[Exceeder, ...]
-    max_min_gap: Fraction
+    max_min_gap: core.Fraction
     argmax_witness: ZnSet | None
 
 
@@ -517,7 +517,7 @@ def verify_conjecture(
         return ConjectureReport(
             n=n, k=k, mode=mode, max_card=max_card, kl_cap=None,
             completeness_caveat=False, exceeders=(),
-            max_min_gap=Fraction(0), argmax_witness=None,
+            max_min_gap=core.Fraction(0), argmax_witness=None,
         )
 
     floor = n // k  # rho > n/k exactly when rho > floor
@@ -531,7 +531,7 @@ def verify_conjecture(
         for rep, rho in _bases_above(n, floor, cap, limit)
     ]
 
-    max_min_gap = Fraction(0)
+    max_min_gap = core.Fraction(0)
     argmax = None
     for e in exceeders:
         if e.min_gap > max_min_gap:

@@ -15,14 +15,11 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from fractions import Fraction
 from operator import sub
 
+from . import core
 from .core import _LANE_FORMATS, _MEMBER_FLAGS, ZnSet, divisors, record
 from .sumsets import add_sets, order
-
-DOUBLING_SIGMA = Fraction(204, 100)
-DENSITY_THRESHOLD = Fraction(1, 10**9)
 
 CASE_GENERIC = "generic"          # met cosets != 1 and != 3
 CASE_THREE_COSETS = "three_cosets"
@@ -40,7 +37,7 @@ def project(a: ZnSet, q: int) -> ZnSet:
     return ZnSet.from_members(q, {x % q for x in a})
 
 
-def coset_profile(a: ZnSet, m: int) -> tuple[int, Fraction]:
+def coset_profile(a: ZnSet, m: int) -> tuple[int, core.Fraction]:
     """(number of cosets of the size-m subgroup met by A, max occupied fraction)."""
     n = a.modulus
     if m < 1 or n % m != 0:
@@ -48,7 +45,7 @@ def coset_profile(a: ZnSet, m: int) -> tuple[int, Fraction]:
     if not a:
         raise ValueError("coset profile of an empty set")
     counts = Counter(x % (n // m) for x in a)
-    return len(counts), Fraction(max(counts.values()), m)
+    return len(counts), core.Fraction(max(counts.values()), m)
 
 
 def _coset_stats(a: ZnSet) -> list[tuple[int, ZnSet, memoryview]]:
@@ -182,7 +179,7 @@ class StructureReport:
     m: int
     q: int
     cosets_met: int
-    max_coset_fraction: Fraction
+    max_coset_fraction: core.Fraction
     ap_start: int
     ap_diff: int
     ap_len: int
@@ -201,10 +198,10 @@ class DfAnalysis:
     """
 
     input_set: ZnSet
-    sigma: Fraction
+    sigma: core.Fraction
     set_size: int
     double_size: int
-    doubling_ratio: Fraction
+    doubling_ratio: core.Fraction
     doubling_hypothesis_ok: bool
     density_hypothesis_ok: bool
     reports: tuple[StructureReport, ...]
@@ -228,7 +225,7 @@ def _structure_report(
         m=m,
         q=image.modulus,
         cosets_met=s,
-        max_coset_fraction=Fraction(max(counts), m),
+        max_coset_fraction=core.Fraction(max(counts), m),
         ap_start=start,
         ap_diff=diff,
         ap_len=length,
@@ -280,12 +277,15 @@ def _choose_subgroup(b: ZnSet, excess: int) -> tuple[StructureReport, ZnSet] | N
 
 def df_analyze(
     a: ZnSet,
-    sigma: Fraction = DOUBLING_SIGMA,
+    sigma: core.Fraction | None = None,
     coprime_only: bool = False,
 ) -> DfAnalysis:
-    """Structure scan of A over every proper-subgroup size m | n, m < n."""
+    """Structure scan of A over every proper-subgroup size m | n, m < n.
+    sigma defaults to 204/100."""
     if not a:
         raise ValueError("structure analysis of an empty set")
+    if sigma is None:
+        sigma = core.Fraction(204, 100)
     if sigma <= 1:
         raise ValueError(f"sigma must exceed 1, got {sigma}")
     n = a.modulus
@@ -299,15 +299,15 @@ def df_analyze(
         sigma=sigma,
         set_size=size,
         double_size=dsize,
-        doubling_ratio=Fraction(dsize, size),
+        doubling_ratio=core.Fraction(dsize, size),
         doubling_hypothesis_ok=dsize < sigma * size,
-        density_hypothesis_ok=size < DENSITY_THRESHOLD * n,
+        density_hypothesis_ok=size * 10**9 < n,  # |A|/n below 10^-9
         reports=reports,
         best=best,
     )
 
 
-def _doublings(a: ZnSet, sigma: Fraction) -> tuple[int, ZnSet, list[int]]:
+def _doublings(a: ZnSet, sigma: core.Fraction) -> tuple[int, ZnSet, list[int]]:
     """The first doubling step with ratio below sigma: (j, 2^j A, sizes) for
     the least j with |2^(j+1) A| < sigma * |2^j A|, where sizes are |A|,
     |2A|, |4A|, ... up to |2^(j+1) A|.
@@ -326,7 +326,7 @@ def _doublings(a: ZnSet, sigma: Fraction) -> tuple[int, ZnSet, list[int]]:
     raise RuntimeError("no doubling step below sigma (0 in A and sigma > 1 always give one)")
 
 
-def _multiple_gap(n: int, h: int, rho: int) -> tuple[Fraction | None, int | None]:
+def _multiple_gap(n: int, h: int, rho: int) -> tuple[core.Fraction | None, int | None]:
     """(min over multiples t of h in [h, n] of |rho - n/t|, the least t
     attaining it), or (None, None) when h > n.
 
@@ -338,7 +338,7 @@ def _multiple_gap(n: int, h: int, rho: int) -> tuple[Fraction | None, int | None
         return None, None
     below = n // (rho * h)  # h*below <= n/rho < h*(below + 1)
     candidates = {min(max(below, 1), top) * h, min(below + 1, top) * h}
-    return min((abs(rho - Fraction(n, t)), t) for t in candidates)  # ties: least t
+    return min((abs(rho - core.Fraction(n, t)), t) for t in candidates)  # ties: least t
 
 
 @record(with_modulus={"input_set": "set"})
@@ -352,7 +352,7 @@ class PipelineTrace:
 
     input_set: ZnSet
     k: int
-    sigma: Fraction
+    sigma: core.Fraction
     rho: int | None
     exceeds_n_over_k: bool
     doubling_sizes: tuple[int, ...]
@@ -368,33 +368,35 @@ class PipelineTrace:
     rho_q_proj_a: int | None = None
     rho_q_proj_b: int | None = None
     # measured inequality data, None where not evaluable
-    subgroup_bound_slack: Fraction | None = None  # (3/2)|B| - m, from the 2/3-coset relation
+    subgroup_bound_slack: core.Fraction | None = None  # (3/2)|B| - m, from the 2/3-coset relation
     two_thirds_holds: bool | None = None
-    proj_lower_slack: int | None = None     # rho_n(A) - rho_q(pi(A)) >= 0
-    proj_upper_slack: int | None = None     # rho_q(pi(A)) + m - rho_n(A), may be negative
-    h_scaling_value: int | None = None      # |rho_n(A) - h * rho_q(pi(B))|
-    multiple_gap: Fraction | None = None    # min over multiples q' of h of |rho_q(pi(B)) - n/q'|
+    proj_lower_slack: int | None = None      # rho_n(A) - rho_q(pi(A)) >= 0
+    proj_upper_slack: int | None = None      # rho_q(pi(A)) + m - rho_n(A), may be negative
+    h_scaling_value: int | None = None       # |rho_n(A) - h * rho_q(pi(B))|
+    multiple_gap: core.Fraction | None = None  # min over multiples q' of h of |rho_q(pi(B)) - n/q'|
     multiple_gap_argmin: int | None = None
-    ap_gap: Fraction | None = None          # |rho_q(pi(B)) - n/(l-1)|, needs l >= 2
-    ap_reduction_ok: bool | None = None     # 2s - 3 >= l - 1
+    ap_gap: core.Fraction | None = None      # |rho_q(pi(B)) - n/(l-1)|, needs l >= 2
+    ap_reduction_ok: bool | None = None      # 2s - 3 >= l - 1
 
 
 def pipeline_trace(
     a: ZnSet,
     k: int,
-    sigma: Fraction = DOUBLING_SIGMA,
+    sigma: core.Fraction | None = None,
 ) -> PipelineTrace:
     """Run the whole structure argument on a concrete basis and record it.
 
     Steps: translate 0 into the set, search for the first doubling step with
-    ratio below sigma, form B = 2^j A, scan B's coset structure to choose the
-    subgroup, project, and evaluate every inequality of the argument as exact
-    slack values.
+    ratio below sigma (default 204/100), form B = 2^j A, scan B's coset
+    structure to choose the subgroup, project, and evaluate every inequality
+    of the argument as exact slack values.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if not a:
         raise ValueError("pipeline trace of an empty set")
+    if sigma is None:
+        sigma = core.Fraction(204, 100)
     if sigma <= 1:
         raise ValueError(f"sigma must exceed 1, got {sigma}")
     n = a.modulus
@@ -422,8 +424,8 @@ def pipeline_trace(
     rho_pa = order(proj_a)
     rho_pb = order(proj_b)
 
-    subgroup_slack = Fraction(3, 2) * len(b) - m
-    two_thirds = chosen.max_coset_fraction > Fraction(2, 3)
+    subgroup_slack = core.Fraction(3, 2) * len(b) - m
+    two_thirds = chosen.max_coset_fraction > core.Fraction(2, 3)
 
     proj_lower_slack = None if (rho is None or rho_pa is None) else rho - rho_pa
     proj_upper_slack = None if (rho is None or rho_pa is None) else rho_pa + m - rho
@@ -433,7 +435,7 @@ def pipeline_trace(
 
     ap_gap = None
     if rho_pb is not None and l >= 2:
-        ap_gap = abs(rho_pb - Fraction(n, l - 1))
+        ap_gap = abs(rho_pb - core.Fraction(n, l - 1))
 
     return trace._replace(
         m=m,

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from znbases import canonical_form, is_canonical, order
-from znbases.affine import _orbit_size
+from znbases import affine
+from znbases.affine import _orbit_size, _totient, units
 from znbases.core import ZnSet, canonical_sort_key
 
 from oracles import (
@@ -136,6 +137,21 @@ def test_orbit_size_counts_the_orbit_without_building_it():
     # the orbit of {0, 1, 3} in Z_2000 has 2000*800 members, none of them built
     a = ZnSet.from_text(2000, "0,1,3")
     assert _orbit_size(a, canonical_form(a)) == 1_600_000
+
+
+def test_totient_counts_the_units():
+    assert [_totient(n) for n in range(1, 2001)] == [len(units(n)) for n in range(1, 2001)]
+
+
+def test_orbit_size_builds_no_unit_list(monkeypatch):
+    # phi(n) comes from the prime factors of n: the tuple of all 4,000,000
+    # units of Z_(10^7) took 1.9 s and 174 MiB only to give its length
+    def refuse(n):
+        raise AssertionError("units(n) built")
+
+    monkeypatch.setattr(affine, "units", refuse)
+    a = ZnSet.from_text(10**7, "0,1,3")
+    assert _orbit_size(a, a) == 4 * 10**13  # {0, 1, 3} is canonical, stabilizer 1
 
 
 def test_anchored_images_keep_one_scaled_mask_alive():

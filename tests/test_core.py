@@ -1,12 +1,14 @@
 import ast
+import fractions
+import random
 from fractions import Fraction
 from functools import cmp_to_key
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from znbases import divisors, is_basis, nlr, order
+from znbases import core, divisors, is_basis, nlr, order
 from znbases.core import (
     ZnSet,
     _literal_members,
@@ -55,6 +57,29 @@ def test_znset_construction_and_queries():
     assert a.to_text() == "0,1,3"
     assert ZnSet.from_text(9, "0, 1, 3") == a
     assert ZnSet.from_text(9, "0;1;3") == a
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 10_000), st.sampled_from((0, 1, 8, 64, 128, 512, 1024)), st.integers(0, 2**32))
+@example(60, 1024, 0)     # all of Z_60: flag bytes
+@example(60, 64, 3)       # 4 members of Z_60: the loop
+@example(10_000, 64, 1)   # about 625 members at density 1/16: flag bytes
+@example(2_000, 64, 2)    # about 125 members at density 1/16: the loop
+def test_members_decode_matches_a_scan_of_every_residue(n, per_1024, seed):
+    # each residue is a member with probability per_1024/1024, so the cases
+    # fall on both sides of the rule that picks the flag bytes or the loop
+    rng = random.Random(seed)
+    mask = sum(1 << i for i in range(n) if rng.randrange(1024) < per_1024)
+    assert ZnSet(n, mask).members == tuple(i for i in range(n) if mask >> i & 1)
+
+
+def test_fraction_is_read_from_core_on_demand():
+    # core imports fractions when core.Fraction is first read, and keeps the
+    # class, so a hot loop pays a dict lookup and no import statement
+    assert core.Fraction is fractions.Fraction
+    assert vars(core)["Fraction"] is fractions.Fraction
+    with pytest.raises(AttributeError, match="has no attribute 'Rational'"):
+        core.Rational
 
 
 def test_znset_parse_rejects_bad_literals():
@@ -128,6 +153,8 @@ def test_order_and_fraction_tokens_round_trip():
     assert format_fraction(Fraction(22, 4)) == "11/2"
     assert format_fraction(Fraction(8, 4)) == "2"
     assert encode(Fraction(22, 4)) == "11/2" and Fraction("11/2") == Fraction(11, 2)
+    # a Fraction is a string even when whole; ints and bools pass through
+    assert encode(Fraction(8, 4)) == "2" and encode(2) == 2 and encode(True) is True
     assert encode(ZnSet.from_members(9, [0, 1, 3])) == "0,1,3"
     assert encode({"gaps": ((4, 5),), "ok": True}) == {"gaps": [[4, 5]], "ok": True}
 

@@ -20,7 +20,8 @@ def test_library_has_no_slow_start_up_imports():
     # typing.NamedTuple cost milliseconds at each start, json is needed
     # only where cli._emit writes JSON, and click only inside a function,
     # for --help and refusals; array is a shared object that no start-up
-    # loads (packed lanes are read through memoryview.cast instead)
+    # loads (packed lanes are read through memoryview.cast instead);
+    # fractions, which loads decimal, only where core.Fraction is first read
     hits = []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -47,43 +48,52 @@ def test_library_has_no_slow_start_up_imports():
                 hits.append(f"{path.name}:{node.lineno}: imports NamedTuple")
             if "json" in modules and id(node) not in in_emit:
                 hits.append(f"{path.name}:{node.lineno}: imports json outside cli._emit")
-            if "click" in modules and id(node) not in in_function:
-                hits.append(f"{path.name}:{node.lineno}: imports click at module level")
+            for slow in ("click", "fractions", "decimal"):
+                if slow in modules and id(node) not in in_function:
+                    hits.append(f"{path.name}:{node.lineno}: imports {slow} at module level")
             if "array" in modules:
                 hits.append(f"{path.name}:{node.lineno}: imports array")
     assert hits == []
 
 
 # Runs one command as the console script does and names, on the last stderr
-# line, which of click and locale (imported by click's gettext) it loaded.
+# line, which of click, locale (imported by click's gettext), fractions and
+# decimal (imported by fractions) it loaded.
 PROBE = """
 import atexit, sys
-atexit.register(lambda: sys.stderr.write(
-    "\\nloaded:" + "".join(" " + m for m in ("click", "locale") if m in sys.modules)))
+atexit.register(lambda: sys.stderr.write("\\nloaded:" + "".join(
+    " " + m for m in ("click", "locale", "fractions", "decimal") if m in sys.modules)))
 from znbases.cli import main
 main(sys.argv[1:], prog_name="znbases")
 """
 
 
-@pytest.mark.parametrize("argv, loads_click", [
-    (("--version",), False),
-    (("spectrum", "--n", "8", "--exhaustive"), False),
-    (("family", "--k", "3", "--n-range", "16..40", "--format", "csv"), False),
-    (("order", "--help"), True),
-    (("spectrum", "--n", "7", "--shards", "0"), True),
+@pytest.mark.parametrize("argv, loads_click, loads_fractions", [
+    (("--version",), False, False),
+    (("spectrum", "--n", "8", "--exhaustive"), False, False),
+    (("order", "--n", "9", "--set", "0,1,3", "--format", "json"), False, False),
+    (("canon", "--n", "12", "--set", "0,3,5,9", "--format", "json"), False, False),
+    (("family", "--k", "3", "--n-range", "16..40", "--format", "csv"), False, True),
+    (("conjecture", "--k", "3", "--n", "60", "--max-card", "6", "--shards", "1",
+      "--format", "csv"), False, True),
+    (("order", "--help"), True, False),
+    (("spectrum", "--n", "7", "--shards", "0"), True, False),
 ])
-def test_well_formed_commands_start_without_click(argv, loads_click):
+def test_well_formed_commands_start_without_click(argv, loads_click, loads_fractions):
     # click and locale cost about a third of every process start; only
-    # --help and refusals need them, and those still print click's bytes
+    # --help and refusals need them, and those still print click's bytes.
+    # fractions and decimal cost about a third of what remains; only
+    # commands that build a rational load them, and family and conjecture
+    # show that the probe sees them when they are loaded
     env = {**os.environ, "COLUMNS": "80", "PYTHONPATH": os.pathsep.join(
         filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))}
     res = subprocess.run([sys.executable, "-c", PROBE, *argv], capture_output=True,
                          text=True, env=env, timeout=60)
     loaded = res.stderr.rsplit("loaded:", 1)[1].split()
-    if loads_click:
-        assert "click" in loaded
-    else:
-        assert loaded == []
+    assert ("click" in loaded) == loads_click
+    if not loads_click:
+        assert "locale" not in loaded
+    assert ("fractions" in loaded, "decimal" in loaded) == (loads_fractions,) * 2
     if argv in GOLDEN:
         assert (res.returncode, res.stdout) == (GOLDEN[argv]["exit_code"],
                                                 GOLDEN[argv]["stdout"])
