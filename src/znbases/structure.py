@@ -280,8 +280,8 @@ def df_analyze(
     sigma: core.Fraction | None = None,
     coprime_only: bool = False,
 ) -> DfAnalysis:
-    """Structure scan of A over every proper-subgroup size m | n, m < n.
-    sigma defaults to 204/100."""
+    """Structure scan of A over every proper-subgroup size m | n, m < n,
+    with the doubling threshold sigma (default 204/100)."""
     if not a:
         raise ValueError("structure analysis of an empty set")
     if sigma is None:
