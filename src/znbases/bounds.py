@@ -9,7 +9,7 @@ for triples {0, a, b} with a | n, the pigeonhole machinery for triples
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from collections.abc import Iterable
 
 from . import core
 from .core import ZnSet, divisors, nlr, record

@@ -17,27 +17,15 @@ import os
 import sys
 
 from . import __version__, core
-from .affine import _orbit_size, canonical_form
-from .bounds import (
-    fl_growth_check,
-    kl_bound,
-    lower_bound_family,
-    pigeonhole_witness,
-    rep_decompose,
-    sandwich_bounds,
-    witness_order_bound,
-)
-from .core import ZnSet, _literal_members, encode, format_fraction, format_order
-from .spectrum import (
+from .core import (
     DEFAULT_CARD_CAP,
     DEFAULT_EXHAUSTIVE_LIMIT,
-    _check_conjecture_args,
-    check_kl_bound,
-    spectrum,
-    verify_conjecture,
+    ZnSet,
+    _literal_members,
+    encode,
+    format_fraction,
+    format_order,
 )
-from .structure import df_analyze, pipeline_trace
-from .sumsets import order, trajectory
 
 SCHEMA_VERSION = 1
 VERSION = f"znbases {__version__} (schema {SCHEMA_VERSION})"
@@ -45,7 +33,9 @@ VERSION = f"znbases {__version__} (schema {SCHEMA_VERSION})"
 # Every command's options, as rows (flag, destination, type, required,
 # default, help); the type is int, str, bool for a flag, or a tuple of
 # choices.  The strict parser in main and the click commands built for
-# --help and refusals both read these rows, in this order.
+# --help and refusals both read these rows, in this order.  Each body
+# imports the library functions it calls, so a command runs only the
+# library modules it uses (see the package docstring).
 COMMANDS: dict = {}  # name -> (body, rows)
 N = ("--n", "n", int, True, None, None)
 K = ("--k", "k", int, True, None, None)
@@ -245,6 +235,8 @@ main.name = "main"
            "Show the whole growth trajectory, not just the order."))
 def order_cmd(n: int, set_text: str, with_trajectory: bool, fmt: str) -> None:
     """Order of a subset of Z_n: least h with hA = Z_n, or inf."""
+    from .sumsets import order, trajectory
+
     a = ZnSet.from_text(n, set_text)
     if not with_trajectory:
         rho = order(a)
@@ -274,6 +266,8 @@ def order_cmd(n: int, set_text: str, with_trajectory: bool, fmt: str) -> None:
 @_command("canon", MODULUS, SET)
 def canon_cmd(n: int, set_text: str, fmt: str) -> None:
     """Canonical affine-orbit representative and orbit size."""
+    from .affine import _orbit_size, canonical_form
+
     a = ZnSet.from_text(n, set_text)
     canon = canonical_form(a)
     size = _orbit_size(a, canon)
@@ -295,6 +289,8 @@ def canon_cmd(n: int, set_text: str, fmt: str) -> None:
            "Number of work partitions (result is shard-count independent)."))
 def spectrum_cmd(n, exhaustive, max_card, limit, shards, fmt) -> None:
     """Achieved orders of bases of Z_n, with gap runs and witnesses."""
+    from .spectrum import spectrum
+
     if exhaustive and max_card is not None:
         raise ValueError("--exhaustive and --max-card are mutually exclusive")
     _check_shards(shards)
@@ -329,6 +325,8 @@ def spectrum_cmd(n, exhaustive, max_card, limit, shards, fmt) -> None:
            "Do not tighten the cap with the order/cardinality bound."))
 def conjecture_cmd(k, n, n_range, max_card, limit, shards, no_kl_cap, fmt) -> None:
     """Largest gap to the nearest n/l over bases of order > n/k."""
+    from .spectrum import _check_conjecture_args, verify_conjecture
+
     if (n is None) == (n_range is None):
         raise ValueError("exactly one of --n and --n-range is required")
     if n is not None:
@@ -396,13 +394,19 @@ def kl_bound_cmd(n: int, rho: int, check: bool, limit: int, fmt: str) -> None:
 
     With --check, exits 1 if some enumerated basis violates the bound.
     """
+    from .bounds import kl_bound
+
     report = kl_bound(n, rho)
     if check and n > limit:
         raise ValueError(
             f"--check enumerates every basis orbit, so it needs n <= --limit "
             f"({limit}); got n = {n}"
         )
-    checked, violations = check_kl_bound(report, limit) if check else (None, 0)
+    checked, violations = None, 0
+    if check:
+        from .spectrum import check_kl_bound
+
+        checked, violations = check_kl_bound(report, limit)
 
     def payload():
         d = report.to_dict()
@@ -437,6 +441,8 @@ def fl_check_cmd(set_text: str, h_max: int, fmt: str) -> None:
 
     Exits 1 if the bound fails anywhere while its hypothesis holds.
     """
+    from .bounds import fl_growth_check
+
     text = set_text.strip()
     if not text:
         raise ValueError("empty integer set literal")
@@ -467,6 +473,8 @@ def sandwich_cmd(n: int, a: int, b: int, fmt: str) -> None:
 
     Exits 1 if the measured order falls outside the bound.
     """
+    from .bounds import sandwich_bounds
+
     r = sandwich_bounds(n, a, b)
     mark = "ok" if r.holds else "VIOLATED"
     _emit(fmt,
@@ -485,6 +493,8 @@ def pigeonhole_cmd(n: int, k: int, t: int, fmt: str) -> None:
 
     Exits 1 if the measured order exceeds the bound.
     """
+    from .bounds import pigeonhole_witness, rep_decompose, witness_order_bound
+
     witness = pigeonhole_witness(n, k, t)
     bound = witness_order_bound(witness)
     decomp = rep_decompose(n, k, t, witness.c)
@@ -514,6 +524,8 @@ def pigeonhole_cmd(n: int, k: int, t: int, fmt: str) -> None:
            "Restrict covering progressions to differences coprime to q."))
 def df_analyze_cmd(n: int, set_text: str, sigma: str, coprime_diff: bool, fmt: str) -> None:
     """Small-doubling coset structure scan over every proper subgroup."""
+    from .structure import df_analyze
+
     a = ZnSet.from_text(n, set_text)
     an = df_analyze(a, sigma=_parse_sigma(sigma), coprime_only=coprime_diff)
 
@@ -544,6 +556,8 @@ def df_analyze_cmd(n: int, set_text: str, sigma: str, coprime_diff: bool, fmt: s
 @_command("pipeline", N, SET, K, SIGMA)
 def pipeline_cmd(n: int, set_text: str, k: int, sigma: str, fmt: str) -> None:
     """End-to-end structure-argument trace with exact slack values."""
+    from .structure import pipeline_trace
+
     a = ZnSet.from_text(n, set_text)
     d = pipeline_trace(a, k, sigma=_parse_sigma(sigma)).to_dict()
     _emit(fmt,
@@ -556,6 +570,8 @@ def pipeline_cmd(n: int, set_text: str, k: int, sigma: str, fmt: str) -> None:
           ("--n-range", "n_range", str, True, None, "Range of moduli A..B."))
 def family_cmd(k: int, n_range: str, fmt: str) -> None:
     """Measured orders of {0,1,k} for moduli n = -1 mod k in the range."""
+    from .bounds import lower_bound_family
+
     lo, hi = _parse_range(n_range)
     records = lower_bound_family(k, (lo, hi))
     if not records:

@@ -8,6 +8,10 @@ no rational, so no module imports it at load time: the other modules build
 rationals as core.Fraction(...), and the first read of core.Fraction
 imports the class through the module __getattr__ below and keeps it in
 this module's globals, so later reads are plain lookups.
+
+The enumeration defaults live here too, not in spectrum: the CLI builds its
+option rows from them at import, and every command runs this module, while
+only the commands that enumerate run spectrum.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import namedtuple
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 
 def __getattr__(name: str):
@@ -25,6 +29,10 @@ def __getattr__(name: str):
         globals()["Fraction"] = Fraction
         return Fraction
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+DEFAULT_EXHAUSTIVE_LIMIT = 20  # largest n an exhaustive enumeration accepts
+DEFAULT_CARD_CAP = 6  # the cardinality cap the CLI suggests in its help
 
 
 def _check_positive(modulus: int) -> None:

@@ -12,16 +12,12 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from typing import Iterator
+from collections.abc import Iterator
 
 from . import core
 from .affine import is_canonical, units
-from .bounds import KlBoundBreakdown, kl_bound, min_gap_to_fractions
-from .core import _LANE_FORMATS, _MEMBER_FLAGS, ZnSet, divisors, record
+from .core import _LANE_FORMATS, _MEMBER_FLAGS, DEFAULT_EXHAUSTIVE_LIMIT, ZnSet, divisors, record
 from .sumsets import _mask_order, _triple_order
-
-DEFAULT_EXHAUSTIVE_LIMIT = 20
-DEFAULT_CARD_CAP = 6
 
 
 @record
@@ -249,10 +245,9 @@ def spectrum(
     )
 
 
-def check_kl_bound(
-    report: KlBoundBreakdown, limit: int = DEFAULT_EXHAUSTIVE_LIMIT
-) -> tuple[int, int]:
-    """Test the cardinality bound on every basis orbit of Z_n (n <= limit).
+def check_kl_bound(report, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> tuple[int, int]:
+    """Test the cardinality bound of a kl_bound report on every basis orbit
+    of Z_n (n <= limit).
 
     Returns (checked, violations): the number of orbits of order at least
     report.rho, and how many of them have more than report.bound elements.
@@ -519,6 +514,10 @@ def verify_conjecture(
             completeness_caveat=False, exceeders=(),
             max_min_gap=core.Fraction(0), argmax_witness=None,
         )
+
+    # bounds is imported here, once per modulus, so that a spectrum run,
+    # which never calls this function, does not load it
+    from .bounds import kl_bound, min_gap_to_fractions
 
     floor = n // k  # rho > n/k exactly when rho > floor
     cap = max_card

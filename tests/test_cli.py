@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -9,8 +10,12 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
 import znbases
-from znbases import affine, cli
+from znbases import affine, bounds, cli
 from znbases.cli import main
+
+# each command imports what it calls from its library module when it runs,
+# so a test patches the name there; znbases.spectrum is the function
+spectrum = importlib.import_module("znbases.spectrum")
 
 
 def run(*args):
@@ -86,13 +91,13 @@ def test_sweep_past_the_limit_is_refused_before_any_search(monkeypatch):
     # the sweep's first refusal is raised before the first modulus is
     # searched, with the message the search would have raised on reaching it
     calls = []
-    real = cli.verify_conjecture
+    real = spectrum.verify_conjecture
 
     def counted(*args, **kwargs):
         calls.append(args[0])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "verify_conjecture", counted)
+    monkeypatch.setattr(spectrum, "verify_conjecture", counted)
     for args, message in (
             (("--k", "3", "--n-range", "15..21"), "cardinality cap for n = 21"),
             (("--k", "3", "--n-range", "0..25"), "n must be positive, got 0")):
@@ -265,7 +270,7 @@ def test_kl_bound_check_verifies_enumerated_bases():
 
 def test_kl_bound_check_exits_1_on_a_violation(monkeypatch):
     # the bound holds on every enumerable modulus, so the check is faked
-    monkeypatch.setattr(cli, "check_kl_bound", lambda report, limit: (7, 1))
+    monkeypatch.setattr(spectrum, "check_kl_bound", lambda report, limit: (7, 1))
     res = run("kl-bound", "--n", "12", "--rho", "5", "--check")
     assert res.exit_code == 1
     assert res.output.splitlines()[-1] == "checked 7 basis orbits, 1 violations"
@@ -300,7 +305,7 @@ def test_request_too_large_to_compute_exits_2(monkeypatch):
     def too_large(members, h_max):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "fl_growth_check", too_large)
+    monkeypatch.setattr(bounds, "fl_growth_check", too_large)
     for args in (("order", "--n", "100000000000000000000", "--set", "0,1"),
                  ("order", "--n=100000000000000000000", "--set", "0,1"),
                  ("fl-check", "--set", "0,1,3", "--h-max", "2"),
@@ -318,14 +323,14 @@ def test_fl_check_pass_and_fail_exit_codes():
 
 def test_fl_check_exits_1_on_a_violated_bound(monkeypatch):
     # the growth bound is a theorem, so a violation is faked in the last record
-    real = cli.fl_growth_check
+    real = bounds.fl_growth_check
 
     def violated(members, h_max):
         report = real(members, h_max)
         *rest, last = report.records
         return report._replace(records=(*rest, last._replace(holds=False)))
 
-    monkeypatch.setattr(cli, "fl_growth_check", violated)
+    monkeypatch.setattr(bounds, "fl_growth_check", violated)
     res = run("fl-check", "--set", "0,1,3", "--h-max", "3")
     assert res.exit_code == 1
     assert res.output.splitlines()[-1] == "  h=3   |hA|=9      bound 9      VIOLATED"
@@ -360,8 +365,8 @@ def test_pigeonhole_output():
 
 def test_pigeonhole_exits_1_on_a_violated_bound(monkeypatch):
     # the witness bound is a theorem, so a violation is faked
-    real = cli.witness_order_bound
-    monkeypatch.setattr(cli, "witness_order_bound", lambda w: real(w)._replace(holds=False))
+    real = bounds.witness_order_bound
+    monkeypatch.setattr(bounds, "witness_order_bound", lambda w: real(w)._replace(holds=False))
     res = run("pigeonhole", "--n", "100", "--k", "4", "--t", "34")
     assert res.exit_code == 1
     assert "order {0,1,34} = 34 <= 152: VIOLATED" in res.output.splitlines()
@@ -377,7 +382,6 @@ def test_canon_computes_the_canonical_form_once(monkeypatch):
         return real(a)
 
     monkeypatch.setattr(affine, "canonical_form", counted)
-    monkeypatch.setattr(cli, "canonical_form", counted)
     res = run("canon", "--n", "12", "--set", "0,3,5,9")
     assert res.output == "canonical: {0,1,3,9}\norbit size: 48\n"
     assert len(calls) == 1
@@ -568,7 +572,7 @@ def test_strict_run_ends_as_click_ends_it(monkeypatch, raised, code, stderr):
         calls.append(args)
         raise raised
 
-    monkeypatch.setattr(cli, "spectrum", fail)
+    monkeypatch.setattr(spectrum, "spectrum", fail)
     res = run("spectrum", "--n", "7")
     assert (res.exit_code, res.stdout, len(calls)) == (code, "", 1)
     assert res.stderr.endswith(stderr)
