@@ -1,3 +1,5 @@
+import atexit
+import gc
 import importlib
 import json
 import os
@@ -434,6 +436,18 @@ def test_version_mentions_schema():
     res = run("--version")
     assert res.exit_code == 0
     assert "schema" in res.output
+
+
+def test_in_process_runs_leave_the_gc_alone():
+    # only a run as the program (args None) freezes the heap at exit; a
+    # CliRunner run, which passes args, and a direct main(args) register no
+    # hook and freeze nothing, so the calling process keeps its collections
+    before = (gc.get_freeze_count(), atexit._ncallbacks())
+    assert run("order", "--n", "9", "--set", "0,1,3").exit_code == 0
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--version"])
+    assert exit_info.value.code == 0
+    assert (gc.get_freeze_count(), atexit._ncallbacks()) == before
 
 
 def test_family_table_through_a_real_pipe():

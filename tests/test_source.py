@@ -63,14 +63,15 @@ def test_library_has_no_slow_start_up_imports():
     assert hits == []
 
 
-# Runs one command as the console script does and reports, on the last three
-# stderr lines: the znbases modules in sys.modules right after the import of
-# znbases.cli; which of click, locale (imported by click's gettext),
-# fractions and decimal (imported by fractions) the command loaded; and the
-# znbases modules whose body ran (a lazily registered module stays of its
-# own class until its first attribute read runs it).
+# Runs one command as the console script does, main reading sys.argv, and
+# reports, on the last four stderr lines: the znbases modules in sys.modules
+# right after the import of znbases.cli; which of click, locale (imported by
+# click's gettext), fractions and decimal (imported by fractions) the command
+# loaded; the znbases modules whose body ran (a lazily registered module stays
+# of its own class until its first attribute read runs it); and whether the
+# heap was frozen (this hook, registered before main's, runs after it).
 PROBE = """
-import atexit, sys, types
+import atexit, gc, sys, types
 from znbases.cli import main
 registered = [m for m in sys.modules if m.startswith("znbases.")]
 atexit.register(lambda: sys.stderr.write(
@@ -78,8 +79,9 @@ atexit.register(lambda: sys.stderr.write(
     + "\\nloaded: " + " ".join(
         m for m in ("click", "locale", "fractions", "decimal") if m in sys.modules)
     + "\\nran: " + " ".join(m for m, module in sys.modules.items()
-                             if m.startswith("znbases.") and type(module) is types.ModuleType)))
-main(sys.argv[1:], prog_name="znbases")
+                             if m.startswith("znbases.") and type(module) is types.ModuleType)
+    + "\\nfrozen: " + str(gc.get_freeze_count() > 0)))
+main(prog_name="znbases")
 """
 LIBRARY = ("core", "sumsets", "affine", "bounds", "spectrum", "structure")
 SPECTRUM = ("cli", "core", "sumsets", "affine", "spectrum")
@@ -111,13 +113,16 @@ def test_well_formed_commands_start_without_click(argv, loads_click, loads_fract
     # commands that build a rational load them, and family and conjecture
     # show that the probe sees them when they are loaded.  Every library
     # module is in sys.modules once znbases.cli is imported, as
-    # perfbench/tracer.py needs, but a command runs only the ones it uses
+    # perfbench/tracer.py needs, but a command runs only the ones it uses.
+    # Every exit, --help and the exit-2 refusal too, ends with the heap
+    # frozen, and the golden stdout shows that nothing was lost by it
     env = {**os.environ, "COLUMNS": "80", "PYTHONPATH": os.pathsep.join(
         filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))}
     res = subprocess.run([sys.executable, "-c", PROBE, *argv], capture_output=True,
                          text=True, env=env, timeout=60)
     report = {key: value.split()
-              for key, value in (line.split(":") for line in res.stderr.splitlines()[-3:])}
+              for key, value in (line.split(":") for line in res.stderr.splitlines()[-4:])}
+    assert report["frozen"] == ["True"]
     assert sorted(report["registered"]) == sorted(f"znbases.{m}" for m in ("cli", *LIBRARY))
     assert sorted(report["ran"]) == sorted(f"znbases.{m}" for m in runs)
     loaded = report["loaded"]
